@@ -25,6 +25,7 @@ across runs.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -34,13 +35,14 @@ from random import Random
 from .events import (
     Atom,
     Event,
+    LabelMask,
     annihilated_equals,
     annihilating_union,
     intersection,
     normalize,
     plain_union,
 )
-from .families import Family, is_set_algebra, is_set_field, mirror_family, compose_family
+from .families import is_set_algebra, is_set_field, mirror_family, compose_family
 from .measure import ExtendedSpace
 
 __all__ = [
@@ -156,45 +158,54 @@ def _id_key(check_id: str):
 # ---------------------------------------------------------------------------
 
 
-def _splits(event: Event):
-    """All ordered two-part partitions ``(A, B)`` of an event's atoms."""
-    atoms = tuple(event)
-    n = len(atoms)
-    for mask in range(1 << n):
-        a_pos, a_neg, b_pos, b_neg = [], [], [], []
-        for i, atom in enumerate(atoms):
-            if mask >> i & 1:
-                (a_pos if atom.positive else a_neg).append(atom.label)
-            else:
-                (b_pos if atom.positive else b_neg).append(atom.label)
-        yield (
-            Event._raw(frozenset(a_pos), frozenset(a_neg)),
-            Event._raw(frozenset(b_pos), frozenset(b_neg)),
-        )
-
-
 def _pmap(space: ExtendedSpace) -> dict:
     return {event: space.probability(event) for event in space.events_in_order}
 
 
-def _additivity(check_id: str, members: Family, ordered, pmap: dict) -> CheckEntry:
+def _additivity(check_id: str, space: ExtendedSpace, ordered, pmap: dict) -> CheckEntry:
     """P(A) + P(B) == P(A | B) over every disjoint pair with union in the family.
 
-    Every such pair partitions its union, so enumerating two-part splits of
-    each member is exhaustive.
+    ``ordered`` is the family in canonical order.  Every such pair partitions
+    its union, so enumerating the ordered two-part splits of each member is
+    exhaustive: ``5**n`` splits over the ``3**n`` powerset events.  Members
+    are packed with :class:`LabelMask` and their ``pmap`` values turned into
+    integer numerators over one common denominator, so the loop does int
+    lookups and int sums only.  A union's splits are its sub-masks, built by
+    doubling over its atoms in label order: split ``k`` puts the atom of bit
+    ``j`` of ``k`` into ``A``.  The first failure found is therefore the
+    least ``(union, A)`` in that order, and only it is decoded into events
+    and fractions.
     """
-    universe = members.events
-    for union_event in ordered:
-        target = pmap[union_event]
-        for a, b in _splits(union_event):
-            if a in universe and b in universe:
-                total = pmap[a] + pmap[b]
-                if total != target:
-                    return CheckEntry(
-                        check_id,
-                        False,
-                        _cx(A=a, B=b, union=union_event, lhs=total, rhs=target),
-                    )
+    codec = LabelMask(sorted(space.ground.labels))
+    n = codec.n
+    masks = [codec.encode(event) for event in ordered]
+    values = [pmap[event] for event in ordered]
+    denominator = math.lcm(*(value.denominator for value in values))
+    numerator = {
+        mask: value.numerator * (denominator // value.denominator)
+        for mask, value in zip(masks, values)
+    }
+    label_bits = [(1 << i) | (1 << (n + i)) for i in range(n)]
+    get = numerator.get
+    for union_mask, union_event in zip(masks, ordered):
+        target = numerator[union_mask]
+        subs = [0]
+        for both in label_bits:
+            bit = union_mask & both
+            if bit:
+                subs += [sub | bit for sub in subs]
+        for a_mask in subs:
+            x = get(a_mask)
+            if x is None:
+                continue
+            y = get(union_mask ^ a_mask)
+            if y is not None and x + y != target:
+                a, b = codec.decode(a_mask), codec.decode(union_mask ^ a_mask)
+                return CheckEntry(
+                    check_id,
+                    False,
+                    _cx(A=a, B=b, union=union_event, lhs=pmap[a] + pmap[b], rhs=pmap[union_event]),
+                )
     return CheckEntry(check_id, True)
 
 
@@ -254,7 +265,7 @@ def _check_ep4(space: ExtendedSpace) -> CheckEntry:
 
 def _check_ep5(space: ExtendedSpace, pmap: dict, trials, seed) -> CheckEntry:
     if trials is None:
-        return _additivity("EP5", space.f, space.events_in_order, pmap)
+        return _additivity("EP5", space, space.events_in_order, pmap)
     rng = Random(seed)
     events = space.events_in_order
     universe = space.f.events
@@ -278,8 +289,7 @@ def _check_ep5(space: ExtendedSpace, pmap: dict, trials, seed) -> CheckEntry:
 
 
 def _check_ep5p(space: ExtendedSpace, pmap: dict) -> CheckEntry:
-    ordered = tuple(space.fplus)
-    return _additivity("EP5p", space.fplus, ordered, pmap)
+    return _additivity("EP5p", space, tuple(space.fplus), pmap)
 
 
 def _annihilation_insertions(space: ExtendedSpace, trials, seed):
@@ -413,7 +423,7 @@ def check_kolmogorov_restriction(space: ExtendedSpace) -> ValidationReport:
     else:
         entries.append(CheckEntry("K2", True))
 
-    k3 = _additivity("K3", space.fplus, tuple(space.fplus), pmap)
+    k3 = _additivity("K3", space, tuple(space.fplus), pmap)
     entries.append(CheckEntry("K3", k3.passed, k3.counterexample))
 
     return ValidationReport(tuple(entries))

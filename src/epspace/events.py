@@ -328,3 +328,36 @@ def canonical_key(event: Event):
     ``{a}`` before ``{-a}``.
     """
     return (len(event), tuple(atom.key for atom in event))
+
+
+class LabelMask:
+    """Packs events over a fixed label order into ints, and back.
+
+    Label ``labels[i]`` sets bit ``i`` when positive and bit ``n + i`` when
+    negative, so an event packs to ``pos | neg << n``.  On packed events,
+    intersection is ``&`` and symmetric difference is ``^``.  Hot loops over
+    a whole family work on these ints and decode only what they report.
+    """
+
+    __slots__ = ("labels", "n", "_bit")
+
+    def __init__(self, labels: Iterable[str]):
+        self.labels = tuple(labels)
+        self.n = len(self.labels)
+        self._bit = {label: 1 << i for i, label in enumerate(self.labels)}
+
+    def encode(self, event: Event) -> int:
+        bit = self._bit
+        mask = 0
+        for label in event._pos:
+            mask |= bit[label]
+        for label in event._neg:
+            mask |= bit[label] << self.n
+        return mask
+
+    def decode(self, mask: int) -> Event:
+        labels, n = self.labels, self.n
+        return Event._raw(
+            frozenset(label for i, label in enumerate(labels) if mask >> i & 1),
+            frozenset(label for i, label in enumerate(labels) if mask >> (n + i) & 1),
+        )

@@ -31,8 +31,8 @@ from .events import (
     Atom,
     Event,
     LABEL_PATTERN,
+    LabelMask,
     canonical_key,
-    plain_symmetric_difference,
     plain_union,
 )
 
@@ -130,16 +130,21 @@ def is_set_ring(family: Family) -> bool:
 
     For finite families this is equivalent to closure under union,
     intersection, and difference.  Members must be sign-homogeneous.
+
+    Every ordered pair is tested on packed members (:class:`LabelMask`):
+    ``a & b`` and ``a ^ b`` must be member keys.  A symmetric difference
+    that would give a label both signs is never a member key, so that case
+    needs no test of its own.
     """
     _require_homogeneous(family)
-    members = family.events
-    ordered = tuple(family)
-    for a in ordered:
-        for b in ordered:
-            if (a & b) not in members:
-                return False
-            delta = plain_symmetric_difference(a, b)
-            if delta is None or delta not in members:
+    labels: set[str] = set()
+    for member in family.events:
+        labels |= member.positive_labels | member.negative_labels
+    codec = LabelMask(sorted(labels))
+    keys = {codec.encode(member) for member in family.events}
+    for a in keys:
+        for b in keys:
+            if (a & b) not in keys or (a ^ b) not in keys:
                 return False
     return True
 

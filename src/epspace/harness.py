@@ -10,9 +10,12 @@ A space document is a UTF-8 JSON object::
 
 Weight literals are exact: fraction strings like ``"1/2"``, decimal strings
 like ``"0.2"``, integers, or bare JSON numbers (parsed from their literal
-text, so ``0.1`` means exactly 1/10).  ``algebra`` is either the token
-``"powerset"`` or ``{"generators": [["a"], ["b", "c"]]}``, in which case the
-positive family is the generated set field over ``omega_plus``.
+text, so ``0.1`` means exactly 1/10).  Every literal goes through
+:func:`~epspace.measure.as_fraction`, so an oversized one such as
+``"1e5000"`` is a :class:`ParseError` naming ``weights.<label>``.
+``algebra`` is either the token ``"powerset"`` or
+``{"generators": [["a"], ["b", "c"]]}``, in which case the positive family
+is the generated set field over ``omega_plus``.
 
 Spaces parsed or generated here are capped at :data:`MAX_ATOMS` atoms; the
 measurable family has ``3**n`` members for the powerset algebra and is
@@ -31,7 +34,7 @@ from fractions import Fraction
 from .errors import ParseError, SchemaError
 from .events import Atom, Event
 from .families import Family, GroundSet, generate_algebra, powerset_family
-from .measure import ExtendedSpace, make_space
+from .measure import ExtendedSpace, as_fraction, make_space
 
 __all__ = [
     "MAX_ATOMS",
@@ -59,6 +62,15 @@ class SpaceDocument:
     algebra: "str | tuple"
 
 
+class _NumberLiteral:
+    """A bare JSON number, kept as its literal text for :func:`as_fraction`."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
 def parse_document(text: str) -> SpaceDocument:
     """Parse and shape-check a space document.
 
@@ -67,11 +79,13 @@ def parse_document(text: str) -> SpaceDocument:
     from :func:`build_space`.
     """
     try:
-        raw = json.loads(text, parse_float=Fraction)
+        raw = json.loads(text, parse_float=_NumberLiteral, parse_int=_NumberLiteral)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
 
     if not isinstance(raw, dict):
         raise ParseError("expected a JSON object", location="document")
@@ -94,24 +108,14 @@ def parse_document(text: str) -> SpaceDocument:
     weights_raw = raw["weights"]
     if not isinstance(weights_raw, dict):
         raise ParseError("expected an object", location="weights")
-    weights: dict[str, Fraction] = {}
-    for label, value in weights_raw.items():
-        if isinstance(value, Fraction):
-            weights[label] = value
-        elif isinstance(value, int) and not isinstance(value, bool):
-            weights[label] = Fraction(value)
-        elif isinstance(value, str):
-            try:
-                weights[label] = Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(
-                    f"bad rational literal {value!r}", location=f"weights.{label}"
-                ) from None
-        else:
-            raise ParseError(
-                f"expected a rational literal, got {type(value).__name__}",
-                location=f"weights.{label}",
-            )
+    weights = {
+        label: as_fraction(
+            value.text if isinstance(value, _NumberLiteral) else value,
+            f"weights.{label}",
+            ParseError,
+        )
+        for label, value in weights_raw.items()
+    }
 
     algebra = raw["algebra"]
     if algebra == "powerset":

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import (
     AlgebraError,
@@ -34,23 +35,56 @@ from .families import Family, GroundSet, compose_family, is_set_algebra, is_set_
 __all__ = ["ExtendedSpace", "make_space", "as_fraction", "positive_family_is_field"]
 
 
-def as_fraction(value, where: str = "weight") -> Fraction:
-    """Convert an exact literal to ``Fraction``; floats are rejected as inexact."""
+# Literals are refused before ``Fraction()`` sees them when they could denote
+# a numerator or denominator longer than this: a few such weights already sum
+# to a rational too long to print.
+MAX_LITERAL_DIGITS = 100
+
+
+def _literal_digits(text: str) -> int:
+    """Mantissa digits plus the exponent's magnitude, which bound the decimal
+    length of the numerator and denominator ``text`` denotes."""
+    mantissa, _, exponent = text.lower().partition("e")
+    digits = sum(ch.isdecimal() for ch in mantissa)
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if exponent.isdecimal():
+        # int() refuses very long digit strings; any such exponent is too large.
+        digits += int(exponent) if len(exponent) <= 9 else 10 ** 9
+    return digits
+
+
+def as_fraction(value, where: str = "weight", error: type = SchemaError) -> Fraction:
+    """Convert an exact literal to ``Fraction``; the one literal parser.
+
+    Accepts a ``Fraction``, an int, or literal text such as ``"1/2"``,
+    ``"0.2"`` or ``"3e-2"``.  Floats are rejected as inexact, and ints or
+    text that could denote more than :data:`MAX_LITERAL_DIGITS` digits
+    (counting an exponent's magnitude) as oversized.  Rejections raise
+    ``error`` with a message that starts with ``where``.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
+        if abs(value) >= 10 ** MAX_LITERAL_DIGITS:
+            raise error(f"{where}: integer is too large (more than {MAX_LITERAL_DIGITS} digits)")
         return Fraction(value)
     if isinstance(value, str):
+        if _literal_digits(value) > MAX_LITERAL_DIGITS:
+            shown = value if len(value) <= 24 else value[:20] + "..."
+            raise error(
+                f"{where}: literal {shown!r} is too large (more than "
+                f"{MAX_LITERAL_DIGITS} digits, counting the exponent)"
+            )
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"{where}: cannot parse {value!r} as a rational") from exc
+        except (ValueError, ZeroDivisionError):
+            raise error(f"{where}: cannot parse {value!r} as a rational") from None
     if isinstance(value, float):
-        raise SchemaError(
+        raise error(
             f"{where}: floats are inexact; pass a string like '0.25', an int, "
             "or a Fraction"
         )
-    raise SchemaError(f"{where}: unsupported weight type {type(value).__name__}")
+    raise error(f"{where}: unsupported weight type {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -58,14 +92,15 @@ class ExtendedSpace:
     """A ground set, its positive algebra, the composed measurable family, and weights.
 
     Construct through :func:`make_space`, which validates every invariant and
-    derives the composed family.  Immutable; safe to share between threads.
+    derives the composed family.  Immutable, ``weights`` and ``overrides``
+    included (read-only mappings); safe to share between threads.
     """
 
     ground: GroundSet
     weights: Mapping[str, Fraction]
     fplus: Family
     f: Family
-    overrides: Mapping[Event, Fraction] = field(default_factory=dict)
+    overrides: Mapping[Event, Fraction] = field(default_factory=lambda: MappingProxyType({}))
     events_in_order: tuple = field(default=(), compare=False, repr=False)
 
     @property
@@ -130,7 +165,7 @@ class ExtendedSpace:
             weights=self.weights,
             fplus=self.fplus,
             f=self.f,
-            overrides=pinned,
+            overrides=MappingProxyType(pinned),
             events_in_order=self.events_in_order,
         )
 
@@ -198,7 +233,7 @@ def make_space(
     ordered = tuple(composed)
     return ExtendedSpace(
         ground=ground,
-        weights=converted,
+        weights=MappingProxyType(converted),
         fplus=fplus,
         f=composed,
         events_in_order=ordered,

@@ -138,6 +138,34 @@ def test_validate_malformed_file_exits_two(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "weight",
+    ['"1e5000"', '"1e-5000"', "1" * 5000, '"' + "1" * 5000 + '/3"', "1e5000"],
+    ids=["text-exponent", "text-negative-exponent", "bare-integer", "text-fraction", "bare-exponent"],
+)
+def test_validate_oversized_weight_literal_exits_two(capsys, tmp_path, weight):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"omega_plus": ["a", "b"], "weights": {"a": %s, "b": "0"}, "algebra": "powerset"}'
+        % weight,
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("epspace: weights.a: ")
+    assert "too large" in err
+    assert len(err) < 300
+
+
+def test_validate_deeply_nested_document_exits_two(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert err.startswith("epspace: invalid JSON")
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/space.json")
     assert code == 2

@@ -45,6 +45,8 @@ def test_decimal_and_bare_number_literals_are_exact():
     doc = '{"omega_plus": ["a", "b"], "weights": {"a": 0.2, "b": "4/5"}, "algebra": "powerset"}'
     space = parse_space(doc)
     assert space.weights["a"] == Fraction(1, 5)
+    doc = '{"omega_plus": ["a", "b"], "weights": {"a": 1e-1, "b": 9E-1}, "algebra": "powerset"}'
+    assert parse_document(doc).weights == {"a": Fraction(1, 10), "b": Fraction(9, 10)}
 
 
 def test_unknown_weight_label_is_schema_error():
@@ -69,6 +71,7 @@ def test_wrong_shapes_are_parse_errors():
     cases = [
         '[1, 2]',
         '{"omega_plus": "a", "weights": {}, "algebra": "powerset"}',
+        '{"omega_plus": [1], "weights": {}, "algebra": "powerset"}',
         '{"omega_plus": ["a"], "weights": [], "algebra": "powerset"}',
         '{"omega_plus": ["a"], "weights": {"a": 1}, "algebra": "lattice"}',
         '{"omega_plus": ["a"], "weights": {"a": 1}, "algebra": {"generators": "x"}}',

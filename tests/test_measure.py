@@ -68,6 +68,15 @@ def test_make_space_rejects_garbage_literal():
         make_space(("a",), {"a": "one half"})
 
 
+def test_make_space_rejects_oversized_literals():
+    space = make_space(("a", "b"), {"a": "1e-99", "b": "." + "9" * 99})
+    assert space.weights["a"] == Fraction(1, 10 ** 99)
+    oversized = ("1e5000", "1e-5000", "1" * 5000, 10 ** 5000, "1e-100", "." + "0" * 100 + "1", 10 ** 100)
+    for weight in oversized:
+        with pytest.raises(SchemaError, match="^weight for 'a': .*too large"):
+            make_space(("a", "b"), {"a": weight, "b": 1})
+
+
 def test_make_space_accepts_exact_literals():
     space = make_space(("a", "b"), {"a": "0.7", "b": Fraction(3, 10)})
     assert space.weights["a"] == Fraction(7, 10)
@@ -191,6 +200,20 @@ def test_override_pins_single_event():
     assert broken.probability(Event("a")) == 2
     assert broken.probability(Event("b")) == Fraction(1, 2)
     assert space.probability(Event("a")) == Fraction(1, 2)  # original untouched
+
+
+def test_weights_and_overrides_are_read_only():
+    space = make_space(("a", "b"), {"a": "1/2", "b": "1/2"})
+    with pytest.raises(TypeError):
+        space.weights["a"] = 5
+    assert space.probability(Event("a")) == Fraction(1, 2)
+    broken = space.with_override(Event("a"), 2)
+    with pytest.raises(TypeError):
+        broken.overrides[Event("b")] = 7
+    assert broken.probability(Event("b")) == Fraction(1, 2)
+    with pytest.raises(TypeError):
+        space.overrides[Event("a")] = 7
+    assert space.probability(Event("a")) == Fraction(1, 2)
 
 
 def test_override_requires_measurable_event():
