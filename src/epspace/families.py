@@ -97,7 +97,14 @@ class Family:
         return cls(frozenset(events), kind)
 
     def __iter__(self) -> Iterator[Event]:
-        return iter(sorted(self.events, key=canonical_key))
+        # The canonical order is sorted on first use and kept on the instance,
+        # outside the dataclass fields, so equality and hash never see it.
+        try:
+            ordered = self._ordered
+        except AttributeError:
+            ordered = tuple(sorted(self.events, key=canonical_key))
+            object.__setattr__(self, "_ordered", ordered)
+        return iter(ordered)
 
     def __len__(self) -> int:
         return len(self.events)

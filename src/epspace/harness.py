@@ -71,15 +71,40 @@ class _NumberLiteral:
         self.text = text
 
 
+class _JsonObject(dict):
+    """A JSON object that remembers the first key it was given twice, which
+    plain ``json.loads`` would drop silently (the last value wins)."""
+
+    __slots__ = ("duplicate",)
+
+    def __init__(self, pairs):
+        super().__init__()
+        self.duplicate = None
+        for key, value in pairs:
+            if key in self and self.duplicate is None:
+                self.duplicate = key
+            self[key] = value
+
+
+def _reject_duplicate(obj: _JsonObject, location: str) -> None:
+    if obj.duplicate is not None:
+        raise ParseError(f"duplicate key {obj.duplicate!r}", location=location)
+
+
 def parse_document(text: str) -> SpaceDocument:
     """Parse and shape-check a space document.
 
-    Malformed structure raises :class:`ParseError` naming the offending
-    location; semantic problems (unknown labels, bad sums) surface later,
-    from :func:`build_space`.
+    Malformed structure, a key given twice in one object included, raises
+    :class:`ParseError` naming the offending location; semantic problems
+    (unknown labels, bad sums) surface later, from :func:`build_space`.
     """
     try:
-        raw = json.loads(text, parse_float=_NumberLiteral, parse_int=_NumberLiteral)
+        raw = json.loads(
+            text,
+            object_pairs_hook=_JsonObject,
+            parse_float=_NumberLiteral,
+            parse_int=_NumberLiteral,
+        )
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -89,6 +114,7 @@ def parse_document(text: str) -> SpaceDocument:
 
     if not isinstance(raw, dict):
         raise ParseError("expected a JSON object", location="document")
+    _reject_duplicate(raw, "document")
     for key in raw:
         if key not in _DOCUMENT_FIELDS:
             raise ParseError(f"unknown field {key!r}", location="document")
@@ -108,6 +134,7 @@ def parse_document(text: str) -> SpaceDocument:
     weights_raw = raw["weights"]
     if not isinstance(weights_raw, dict):
         raise ParseError("expected an object", location="weights")
+    _reject_duplicate(weights_raw, "weights")
     weights = {
         label: as_fraction(
             value.text if isinstance(value, _NumberLiteral) else value,
@@ -121,6 +148,7 @@ def parse_document(text: str) -> SpaceDocument:
     if algebra == "powerset":
         parsed_algebra: "str | tuple" = "powerset"
     elif isinstance(algebra, dict):
+        _reject_duplicate(algebra, "algebra")
         for key in algebra:
             if key != "generators":
                 raise ParseError(f"unknown field {key!r}", location="algebra")

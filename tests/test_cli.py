@@ -166,6 +166,19 @@ def test_validate_deeply_nested_document_exits_two(capsys, tmp_path):
     assert err.startswith("epspace: invalid JSON")
 
 
+def test_validate_duplicate_weight_key_exits_two(capsys, tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text(
+        '{"omega_plus": ["a", "b"], "weights": {"a": "1/2", "b": "1/2", "a": "1/2"}, '
+        '"algebra": "powerset"}',
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "epspace: weights: duplicate key 'a'\n"
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/space.json")
     assert code == 2

@@ -21,6 +21,7 @@ from epspace import (
     mirror_family,
     powerset_family,
 )
+from epspace.events import canonical_key
 
 
 def all_subsets(labels):
@@ -304,6 +305,27 @@ def test_ground_set_events():
 def test_family_texts_are_sorted_canonically():
     family = Family.of(Event("a,b"), Event(), Event("-a"), Event("a"))
     assert family.texts() == ("{}", "a", "-a", "a,b")
+
+
+def test_family_sorts_once_and_keeps_equality_and_hash(monkeypatch):
+    import dataclasses
+
+    import epspace.families as families
+
+    calls = []
+
+    def counting_key(event):
+        calls.append(event)
+        return canonical_key(event)
+
+    monkeypatch.setattr(families, "canonical_key", counting_key)
+    family = Family.of(Event("a,b"), Event(), Event("-a"), Event("a"))
+    fresh = Family.of(Event("a"), Event("-a"), Event(), Event("a,b"))
+    assert family.texts() == ("{}", "a", "-a", "a,b")
+    assert tuple(family) == tuple(family)
+    assert len(calls) == 4
+    assert family == fresh and hash(family) == hash(fresh)
+    assert [f.name for f in dataclasses.fields(Family)] == ["events", "kind"]
 
 
 def test_family_equality_ignores_kind():

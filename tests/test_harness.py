@@ -85,6 +85,30 @@ def test_wrong_shapes_are_parse_errors():
             parse_document(doc)
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            '{"omega_plus": ["a", "b"], "weights": {"a": "1/2", "b": "1/2", "a": "1/2"}, "algebra": "powerset"}',
+            "weights: duplicate key 'a'",
+        ),
+        (
+            '{"omega_plus": ["a", "b"], "weights": {"a": "1/2", "b": "1/2"}, "algebra": "powerset", "algebra": "powerset"}',
+            "document: duplicate key 'algebra'",
+        ),
+        (
+            '{"omega_plus": ["a"], "weights": {"a": 1}, "algebra": {"generators": [], "generators": [["a"]]}}',
+            "algebra: duplicate key 'generators'",
+        ),
+    ],
+    ids=["weights", "top-level", "algebra"],
+)
+def test_duplicate_keys_are_parse_errors(doc, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_document(doc)
+    assert str(excinfo.value) == message
+
+
 def test_atom_ceiling_is_enforced():
     labels = json.dumps([f"w{i}" for i in range(9)])
     weights = json.dumps({f"w{i}": "1/9" for i in range(9)})

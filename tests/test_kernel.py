@@ -1,9 +1,10 @@
 """Differential tests: the packed label-mask kernel against a frozenset reference.
 
 The reference functions below are the plain frozenset forms of the split
-enumeration, the additivity check and the ring predicate.  The library runs
-the same quantifiers on packed ints (:class:`epspace.events.LabelMask`); every
-verdict and every counterexample must agree byte for byte.
+enumeration, the additivity check, the ring predicate and the suite's pair
+and triple loops (L4, L5, L6, L7, L9, P7, T2).  The library runs the same
+quantifiers on packed ints (:class:`epspace.events.LabelMask`); every
+verdict, counterexample and note must agree byte for byte.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from epspace import (
@@ -20,13 +22,16 @@ from epspace import (
     FuzzConfig,
     check_kolmogorov_restriction,
     generate_algebra,
+    is_set_field,
     is_set_ring,
+    make_space,
     mirror_family,
     random_space,
+    run_theorem_suite,
     validate_axioms,
 )
 from epspace.checks import CheckEntry, _cx, _pmap
-from epspace.events import LabelMask, plain_symmetric_difference
+from epspace.events import LabelMask, plain_symmetric_difference, plain_union
 
 from conftest import events
 
@@ -77,13 +82,170 @@ def reference_is_set_ring(family: Family) -> bool:
     return True
 
 
+def reference_l4(space, pmap):
+    events = space.events_in_order
+    empty = Event()
+    for x in events:
+        if x + x != x:
+            return CheckEntry("L4", False, _cx(law="idempotent", X=x))
+        if x + empty != x:
+            return CheckEntry("L4", False, _cx(law="unit", X=x))
+    for x in events:
+        for y in events:
+            if x + y != y + x:
+                return CheckEntry("L4", False, _cx(law="commutative", X=x, Y=y))
+    positives = [e for e in events if e.is_positive]
+    negatives = [e for e in events if e.is_negative]
+    for pool in (positives, negatives):
+        for x in pool:
+            for y in pool:
+                if x + y != plain_union(x, y):
+                    return CheckEntry("L4", False, _cx(law="same-sign-union", X=x, Y=y))
+    support = {e: e.positive_labels | e.negative_labels for e in events}
+    refutation = None
+    for x in events:
+        for y in events:
+            xy = x + y
+            shared_xy = support[x] & support[y]
+            for z in events:
+                left = xy + z
+                right = x + (y + z)
+                if shared_xy and shared_xy & support[z]:
+                    if refutation is None and left != right:
+                        refutation = (x, y, z)
+                    continue
+                if left != right:
+                    return CheckEntry("L4", False, _cx(law="associative", X=x, Y=y, Z=z))
+    note = "associativity checked over triples with no label in all three operands"
+    if refutation is not None:
+        rx, ry, rz = refutation
+        note += (
+            "; unrestricted form refuted by "
+            f"X={rx.text()} Y={ry.text()} Z={rz.text()}"
+        )
+    return CheckEntry("L4", True, note=note)
+
+
+def reference_l5(space, pmap):
+    events = space.events_in_order
+    witness_a = None
+    for x in events:
+        for y in events:
+            xy = x + y
+            for z in events:
+                lhs = z & xy
+                rhs = (z & x) + (z & y)
+                if lhs != rhs:
+                    witness_a = (x, y, z, lhs, rhs)
+                    break
+            if witness_a:
+                break
+        if witness_a:
+            break
+    witness_b = None
+    for x in events:
+        for y in events:
+            for z in events:
+                if x + (y & z) != (x & y) + (x & z):
+                    witness_b = (x, y, z)
+                    break
+            if witness_b:
+                break
+        if witness_b:
+            break
+    if witness_a is None or witness_b is None:
+        return CheckEntry("L5", False, _cx(reason="no non-distributivity witness found"))
+    x, y, z, lhs, rhs = witness_a
+    bx, by, bz = witness_b
+    return CheckEntry(
+        "L5",
+        True,
+        _cx(X=x, Y=y, Z=z, lhs=lhs, rhs=rhs),
+        note=f"second form witness X={bx.text()} Y={by.text()} Z={bz.text()}",
+    )
+
+
+def reference_l6(space, pmap):
+    for a in space.events_in_order:
+        ap, an = a.split()
+        for b in space.events_in_order:
+            bp, bn = b.split()
+            if (a & b) != (ap & bp) + (an & bn):
+                return CheckEntry("L6", False, _cx(A=a, B=b))
+    return CheckEntry("L6", True)
+
+
+def reference_l7(space, pmap):
+    for a in space.events_in_order:
+        ap, an = a.split()
+        for b in space.events_in_order:
+            bp, bn = b.split()
+            if (a - b) != (ap - bp) + (an - bn):
+                return CheckEntry("L7", False, _cx(A=a, B=b))
+    return CheckEntry("L7", True)
+
+
+def reference_l9(space, pmap):
+    for a in space.events_in_order:
+        ap, an = a.split()
+        for b in space.events_in_order:
+            bp, bn = b.split()
+            if a + b != (ap + bp) + (an + bn):
+                return CheckEntry("L9", False, _cx(A=a, B=b))
+    return CheckEntry("L9", True)
+
+
+def reference_p7(space, pmap):
+    for x in space.events_in_order:
+        for y in space.events_in_order:
+            if (x & -y) != -((-x) & y):
+                return CheckEntry("P7", False, _cx(X=x, Y=y))
+    return CheckEntry("P7", True)
+
+
+def reference_t2(space, pmap):
+    members = space.f.events
+    for x in space.events_in_order:
+        for y in space.events_in_order:
+            if x + y not in members:
+                return CheckEntry("T2", False, _cx(op="+", X=x, Y=y))
+            if x & y not in members:
+                return CheckEntry("T2", False, _cx(op="&", X=x, Y=y))
+            if x - y not in members:
+                return CheckEntry("T2", False, _cx(op="-", X=x, Y=y))
+    if is_set_field(space.fplus, space.omega_plus):
+        for x in space.events_in_order:
+            if space.complement(x) not in members:
+                return CheckEntry("T2", False, _cx(op="complement", X=x))
+    return CheckEntry("T2", True)
+
+
+REFERENCE_SUITE = {
+    "L4": reference_l4,
+    "L5": reference_l5,
+    "L6": reference_l6,
+    "L7": reference_l7,
+    "L9": reference_l9,
+    "P7": reference_p7,
+    "T2": reference_t2,
+}
+
+
+def assert_suite_matches_reference(space):
+    pmap = _pmap(space)
+    report = run_theorem_suite(space, REFERENCE_SUITE)
+    for check_id, reference in REFERENCE_SUITE.items():
+        assert report.entry(check_id) == reference(space, pmap), check_id
+
+
 # --- strategies --------------------------------------------------------------
 
 
 @st.composite
-def damaged_spaces(draw):
-    """A random 1-5 atom space (powerset or generated field) with 0-2 pins."""
-    atoms = draw(st.integers(1, 5))
+def damaged_spaces(draw, max_atoms=5):
+    """A random space of 1 to ``max_atoms`` atoms (powerset or generated field)
+    with 0-2 pins."""
+    atoms = draw(st.integers(1, max_atoms))
     algebra = draw(st.sampled_from(("powerset", "generated")))
     seed = draw(st.integers(0, 2 ** 32))
     space = random_space(FuzzConfig(atoms=atoms, trials=1, seed=seed), 0, algebra=algebra)
@@ -106,6 +268,16 @@ def xor_span(gens) -> Family:
     for g in gens:
         span |= {plain_symmetric_difference(member, g) for member in span}
     return Family(frozenset(span))
+
+
+@st.composite
+def unchecked_spaces(draw):
+    """A space built unchecked from any positive family over two or three
+    labels: unions, intersections and differences can leave its family."""
+    labels = draw(st.sampled_from(("ab", "abc")))
+    members = draw(st.sets(st.sampled_from(subsets(labels)), min_size=1))
+    weights = {label: Fraction(1, len(labels)) for label in labels}
+    return make_space(tuple(labels), weights, members, check=False)
 
 
 @st.composite
@@ -158,6 +330,47 @@ def test_additivity_least_counterexample_on_late_override():
     expected = reference_additivity("EP5", damaged.f, damaged.events_in_order, pmap)
     assert not expected.passed
     assert validate_axioms(damaged).entry("EP5") == expected
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 3, 4])
+def test_suite_loops_match_reference_on_powersets(atoms):
+    labels = tuple("abcd"[:atoms])
+    assert_suite_matches_reference(make_space(labels, {label: Fraction(1, atoms) for label in labels}))
+
+
+@pytest.mark.parametrize(
+    "labels, generators",
+    [("abcdef", ["a,b", "c,d"]), ("abcdefgh", ["a,b,c", "d,e"]), ("abcde", ["a,b,c,d,e"])],
+)
+def test_suite_loops_match_reference_on_generated_fields(labels, generators):
+    universe = Event(",".join(labels))
+    fplus = generate_algebra([Event(g) for g in generators], universe)
+    weights = {label: Fraction(1, len(labels)) for label in labels}
+    assert_suite_matches_reference(make_space(tuple(labels), weights, fplus))
+
+
+@settings(max_examples=40)
+@given(damaged_spaces(max_atoms=3))
+def test_suite_loops_match_reference_on_damaged_spaces(space):
+    assert_suite_matches_reference(space)
+
+
+@settings(max_examples=40)
+@given(unchecked_spaces())
+def test_suite_loops_match_reference_on_unchecked_families(space):
+    assert_suite_matches_reference(space)
+
+
+def test_suite_loops_match_reference_when_unions_leave_the_family():
+    # Built unchecked from a positive family that is not an algebra: a + (-a,-b)
+    # is -b, which is not a member, so the union table meets ids past the family.
+    space = make_space(
+        ("a", "b"), {"a": "1/2", "b": "1/2"}, [Event(), Event("a"), Event("a,b")], check=False
+    )
+    assert Event("a") + Event("-a,-b") not in space.f
+    assert_suite_matches_reference(space)
+    report = run_theorem_suite(space, ["L4", "L5", "P6", "T2"])
+    assert [e.check_id for e in report.failures()] == ["P6", "T2"]
 
 
 @settings(max_examples=300)
