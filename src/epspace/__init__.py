@@ -61,7 +61,6 @@ from .harness import (
     FuzzConfig,
     SpaceDocument,
     build_space,
-    enumerate_events,
     parse_document,
     parse_space,
     random_space,
@@ -113,7 +112,6 @@ __all__ = [
     "build_space",
     "parse_space",
     "serialize_space",
-    "enumerate_events",
     "random_space",
     "MAX_ATOMS",
     "EpspaceError",

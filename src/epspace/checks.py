@@ -8,13 +8,18 @@ pass/fail entries with concrete counterexamples:
   sample the quantifier-heavy checks (EP5, EP6, EP7, EP10) on larger spaces.
 * :func:`check_kolmogorov_restriction` -- K1 (non-negativity), K2
   (normalization), K3 (finite additivity) for the restriction of the measure
-  to the positive family, which is an ordinary probability space.
+  to the positive family, which is an ordinary probability space.  They are
+  the positive-family axioms EP8, EP3 and EP5p under their classical names.
 * :func:`run_theorem_suite` -- every catalogued algebraic/measure identity
   (ids C1..C5, L1..L11, P1..P11b, T1..T7), checked exhaustively over the
   space's measurable family.  Quantified checks enumerate all members,
   pairs, or triples; the full suite on an n-atom powerset takes about 0.3 s
   at n = 4, 3 s at n = 5 and 35 s at n = 6 (2-core x86 VM, CPython 3.11).
   Duplicate-numbered results are split as T4a/T4b and P11a/P11b.
+
+Each producer builds one :class:`_Facts` per call, the only argument of
+every check: what the checks share about the space, each part computed at
+most once per report and only when a selected check reads it.
 
 Failures are report entries, never exceptions.  Enumeration follows the
 canonical event order and stops at the first violation, so a reported
@@ -26,11 +31,10 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
+from functools import cached_property
 from operator import itemgetter
 from random import Random
 
@@ -44,7 +48,7 @@ from .events import (
     normalize,
     plain_union,
 )
-from .families import is_set_algebra, is_set_field, mirror_family, compose_family
+from .families import Family, is_set_algebra, is_set_field, mirror_family, compose_family
 from .measure import ExtendedSpace
 
 __all__ = [
@@ -134,34 +138,16 @@ class ValidationReport:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, Event):
-        return value.text()
-    if isinstance(value, (Fraction, int)):
-        return str(value)
-    return str(value)
+    return value.text() if isinstance(value, Event) else str(value)
 
 
 def _cx(**pairs) -> tuple:
     return tuple((key, _fmt(value)) for key, value in pairs.items())
 
 
-_ID_RE = re.compile(r"([A-Z]+)(\d+)([a-z]*)\Z")
-
-
-def _id_key(check_id: str):
-    match = _ID_RE.match(check_id)
-    if not match:
-        return (check_id, 0, "")
-    return (match.group(1), int(match.group(2)), match.group(3))
-
-
 # ---------------------------------------------------------------------------
-# Shared enumeration helpers
+# Packed families
 # ---------------------------------------------------------------------------
-
-
-def _pmap(space: ExtendedSpace) -> dict:
-    return {event: space.probability(event) for event in space.events_in_order}
 
 
 class _PackedFamily:
@@ -242,7 +228,8 @@ def _additivity(check_id: str, family: _PackedFamily, pmap: dict) -> CheckEntry:
 AXIOM_IDS = ("EP1", "EP2", "EP3", "EP4", "EP5", "EP5p", "EP6", "EP7", "EP8", "EP9", "EP10")
 
 
-def _check_ep1(space: ExtendedSpace) -> CheckEntry:
+def _check_ep1(facts: _Facts) -> CheckEntry:
+    space = facts.space
     for label in space.ground.labels:
         atom = Atom(label)
         anti = -atom
@@ -253,49 +240,55 @@ def _check_ep1(space: ExtendedSpace) -> CheckEntry:
     return CheckEntry("EP1", True)
 
 
-def _check_ep2(space: ExtendedSpace) -> CheckEntry:
-    ok, unit = is_set_algebra(space.fplus)
+def _check_ep2(facts: _Facts) -> CheckEntry:
+    space = facts.space
+    ok, unit = facts.algebra
     if not ok:
         return CheckEntry("EP2", False, _cx(reason="positive family is not a set algebra"))
     if space.omega_plus not in space.fplus:
         return CheckEntry(
             "EP2", False, _cx(reason="full positive event missing", expected=space.omega_plus)
         )
-    field = is_set_field(space.fplus, space.omega_plus)
-    return CheckEntry("EP2", True, note=f"unit={unit.text()} field={field}")
+    return CheckEntry("EP2", True, note=f"unit={unit.text()} field={facts.field}")
 
 
-def _check_ep3(space: ExtendedSpace, pmap: dict) -> CheckEntry:
-    value = pmap[space.omega_plus]
+def _check_ep3(facts: _Facts) -> CheckEntry:
+    value = facts.pmap[facts.space.omega_plus]
     if value != 1:
-        return CheckEntry("EP3", False, _cx(event=space.omega_plus, value=value, expected=1))
+        return CheckEntry("EP3", False, _cx(event=facts.space.omega_plus, value=value, expected=1))
     return CheckEntry("EP3", True)
 
 
-def _check_ep4(space: ExtendedSpace) -> CheckEntry:
+def _parts_inside(check_id: str, facts: _Facts) -> CheckEntry:
+    """Every member's positive part is in the positive family and its
+    negative part in the mirror family (EP4 and P3)."""
+    fplus, mirror = facts.space.fplus, facts.mirror
+    for member in facts.space.f:
+        pos, neg = member.split()
+        if pos not in fplus or neg not in mirror:
+            return CheckEntry(check_id, False, _cx(event=member, reason="part outside its family"))
+    return CheckEntry(check_id, True)
+
+
+def _check_ep4(facts: _Facts) -> CheckEntry:
+    space = facts.space
     recomposed = compose_family(space.fplus)
     if recomposed.events != space.f.events:
         extra = sorted(space.f.events ^ recomposed.events, key=lambda e: e.text())
         return CheckEntry(
             "EP4", False, _cx(reason="family is not the disjoint composition", near=extra[0])
         )
-    mirror = mirror_family(space.fplus)
-    for member in space.events_in_order:
-        pos, neg = member.split()
-        if pos not in space.fplus or neg not in mirror:
-            return CheckEntry("EP4", False, _cx(event=member, reason="part outside its family"))
-        if not pos.isdisjoint(-neg):
-            return CheckEntry("EP4", False, _cx(event=member, reason="sign clash between parts"))
-    return CheckEntry("EP4", True)
+    return _parts_inside("EP4", facts)
 
 
-def _check_ep5(space: ExtendedSpace, pmap: dict, trials, seed) -> CheckEntry:
-    if trials is None:
-        return _additivity("EP5", _PackedFamily(space, space.events_in_order, pmap), pmap)
-    rng = Random(seed)
-    events = space.events_in_order
+def _check_ep5(facts: _Facts) -> CheckEntry:
+    if facts.trials is None:
+        return _additivity("EP5", facts.packed, facts.pmap)
+    space, pmap, note = facts.space, facts.pmap, facts.sampled_note
+    rng = Random(facts.seed)
+    events = tuple(space.f)
     universe = space.f.events
-    for _ in range(trials):
+    for _ in range(facts.trials):
         union_event = events[rng.randrange(len(events))]
         atoms = tuple(union_event)
         mask = rng.getrandbits(len(atoms)) if atoms else 0
@@ -309,33 +302,34 @@ def _check_ep5(space: ExtendedSpace, pmap: dict, trials, seed) -> CheckEntry:
                     "EP5",
                     False,
                     _cx(A=a, B=b, union=union_event, lhs=total, rhs=pmap[union_event]),
-                    note=f"sampled trials={trials} seed={seed}",
+                    note=note,
                 )
-    return CheckEntry("EP5", True, note=f"sampled trials={trials} seed={seed}")
+    return CheckEntry("EP5", True, note=note)
 
 
-def _check_ep5p(space: ExtendedSpace, pmap: dict) -> CheckEntry:
-    return _additivity("EP5p", _PackedFamily(space, space.fplus, pmap), pmap)
+def _check_ep5p(facts: _Facts) -> CheckEntry:
+    return _additivity("EP5p", facts.packed_plus, facts.pmap)
 
 
-def _annihilation_insertions(space: ExtendedSpace, trials, seed):
+def _annihilation_insertions(facts: _Facts):
     """Yield (event, label) probes; exhaustive or sampled.
 
     Only labels the event does not use: inserting a pair whose label is
     already resident would cancel the resident atom too (set semantics), so
     the invariance claim applies to fresh labels only.
     """
-    if trials is None:
-        for event in space.events_in_order:
+    space = facts.space
+    labels = space.ground.labels
+    if facts.trials is None:
+        for event in space.f:
             used = event.positive_labels | event.negative_labels
-            for label in space.ground.labels:
+            for label in labels:
                 if label not in used:
                     yield event, label
         return
-    rng = Random(seed ^ 0x5EED)
-    events = space.events_in_order
-    labels = space.ground.labels
-    for _ in range(trials):
+    rng = Random(facts.seed ^ 0x5EED)
+    events = tuple(space.f)
+    for _ in range(facts.trials):
         event = events[rng.randrange(len(events))]
         used = event.positive_labels | event.negative_labels
         fresh = [label for label in labels if label not in used]
@@ -343,18 +337,18 @@ def _annihilation_insertions(space: ExtendedSpace, trials, seed):
             yield event, fresh[rng.randrange(len(fresh))]
 
 
-def _check_ep6(space: ExtendedSpace, trials, seed) -> CheckEntry:
-    note = "" if trials is None else f"sampled trials={trials} seed={seed}"
-    for event, label in _annihilation_insertions(space, trials, seed):
+def _check_ep6(facts: _Facts) -> CheckEntry:
+    note = facts.sampled_note
+    for event, label in _annihilation_insertions(facts):
         draft = tuple(event) + (Atom(label), Atom(label, False))
         if normalize(draft) != event:
             return CheckEntry("EP6", False, _cx(event=event, label=label), note=note)
     return CheckEntry("EP6", True, note=note)
 
 
-def _check_ep7(space: ExtendedSpace, pmap: dict, trials, seed) -> CheckEntry:
-    note = "" if trials is None else f"sampled trials={trials} seed={seed}"
-    for event, label in _annihilation_insertions(space, trials, seed):
+def _check_ep7(facts: _Facts) -> CheckEntry:
+    space, pmap, note = facts.space, facts.pmap, facts.sampled_note
+    for event, label in _annihilation_insertions(facts):
         draft = tuple(event) + (Atom(label), Atom(label, False))
         value = space.draft_probability(draft)
         if value != pmap[event]:
@@ -364,35 +358,94 @@ def _check_ep7(space: ExtendedSpace, pmap: dict, trials, seed) -> CheckEntry:
     return CheckEntry("EP7", True, note=note)
 
 
-def _check_ep8(space: ExtendedSpace, pmap: dict) -> CheckEntry:
-    for member in space.fplus:
+def _check_ep8(facts: _Facts) -> CheckEntry:
+    pmap = facts.pmap
+    for member in facts.space.fplus:
         if pmap[member] < 0:
             return CheckEntry("EP8", False, _cx(event=member, value=pmap[member]))
     return CheckEntry("EP8", True)
 
 
-def _check_ep9(space: ExtendedSpace, pmap: dict) -> CheckEntry:
+def _check_ep9(facts: _Facts) -> CheckEntry:
     note = "finitely vacuous: every strictly decreasing event chain is finite"
-    value = pmap[Event()]
+    value = facts.pmap[Event()]
     if value != 0:
         return CheckEntry("EP9", False, _cx(event=Event(), value=value), note=note)
     return CheckEntry("EP9", True, note=note)
 
 
-def _check_ep10(space: ExtendedSpace, pmap: dict, trials, seed) -> CheckEntry:
-    note = "" if trials is None else f"sampled trials={trials} seed={seed}"
-    if trials is None:
-        probes = space.events_in_order
+def _check_ep10(facts: _Facts) -> CheckEntry:
+    pmap, note = facts.pmap, facts.sampled_note
+    if facts.trials is None:
+        probes = facts.space.f
     else:
-        rng = Random(seed ^ 0xDEC0)
-        events = space.events_in_order
-        probes = [events[rng.randrange(len(events))] for _ in range(trials)]
+        rng = Random(facts.seed ^ 0xDEC0)
+        events = tuple(facts.space.f)
+        probes = [events[rng.randrange(len(events))] for _ in range(facts.trials)]
     for event in probes:
         pos, neg = event.split()
         total = pmap[pos] + pmap[neg]
         if total != pmap[event]:
             return CheckEntry("EP10", False, _cx(event=event, lhs=total, rhs=pmap[event]), note=note)
     return CheckEntry("EP10", True, note=note)
+
+
+# ---------------------------------------------------------------------------
+# Per-report facts
+# ---------------------------------------------------------------------------
+
+
+class _Facts:
+    """What the checks of one report read about its space.
+
+    The probability map, the packed full and positive families, the mirror
+    family, the positive family's algebra and field verdicts, and the
+    EP3/EP5/EP5p/EP8/EP9/EP10 entries, which K1-K3, L10 and T5-T7 read too.
+    Each is computed on first read and kept for the rest of the report.
+    ``trials`` and ``seed`` select sampled probes for EP5, EP6, EP7 and
+    EP10; the classical restriction and the suite never sample, so the
+    entries they read are exhaustive.
+    """
+
+    def __init__(self, space: ExtendedSpace, trials: "int | None" = None, seed: int = 0):
+        self.space = space
+        self.trials = trials
+        self.seed = seed
+        self.sampled_note = "" if trials is None else f"sampled trials={trials} seed={seed}"
+
+    @cached_property
+    def pmap(self) -> dict:
+        """The probability of every member of the measurable family."""
+        space = self.space
+        return {event: space.probability(event) for event in space.f}
+
+    @cached_property
+    def packed(self) -> _PackedFamily:
+        return _PackedFamily(self.space, self.space.f, self.pmap)
+
+    @cached_property
+    def packed_plus(self) -> _PackedFamily:
+        return _PackedFamily(self.space, self.space.fplus, self.pmap)
+
+    @cached_property
+    def mirror(self) -> Family:
+        return mirror_family(self.space.fplus)
+
+    @cached_property
+    def algebra(self) -> tuple:
+        """``(ok, unit)`` of :func:`is_set_algebra` on the positive family."""
+        return is_set_algebra(self.space.fplus)
+
+    @cached_property
+    def field(self) -> bool:
+        return is_set_field(self.space.fplus, self.space.omega_plus)
+
+    ep3 = cached_property(_check_ep3)
+    ep5 = cached_property(_check_ep5)
+    ep5p = cached_property(_check_ep5p)
+    ep8 = cached_property(_check_ep8)
+    ep9 = cached_property(_check_ep9)
+    ep10 = cached_property(_check_ep10)
 
 
 def validate_axioms(space: ExtendedSpace, *, trials: "int | None" = None, seed: int = 0) -> ValidationReport:
@@ -403,21 +456,20 @@ def validate_axioms(space: ExtendedSpace, *, trials: "int | None" = None, seed: 
     many seeded probes instead; the structural and positive-family checks
     stay exhaustive either way.
     """
-    pmap = _pmap(space)
-    entries = (
-        _check_ep1(space),
-        _check_ep2(space),
-        _check_ep3(space, pmap),
-        _check_ep4(space),
-        _check_ep5(space, pmap, trials, seed),
-        _check_ep5p(space, pmap),
-        _check_ep6(space, trials, seed),
-        _check_ep7(space, pmap, trials, seed),
-        _check_ep8(space, pmap),
-        _check_ep9(space, pmap),
-        _check_ep10(space, pmap, trials, seed),
-    )
-    return ValidationReport(tuple(sorted(entries, key=lambda e: _id_key(e.check_id))))
+    facts = _Facts(space, trials, seed)
+    return ValidationReport((
+        _check_ep1(facts),
+        _check_ep2(facts),
+        facts.ep3,
+        _check_ep4(facts),
+        facts.ep5,
+        facts.ep5p,
+        _check_ep6(facts),
+        _check_ep7(facts),
+        facts.ep8,
+        facts.ep9,
+        facts.ep10,
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -427,65 +479,68 @@ def validate_axioms(space: ExtendedSpace, *, trials: "int | None" = None, seed: 
 KOLMOGOROV_IDS = ("K1", "K2", "K3")
 
 
+def _kolmogorov(facts: _Facts) -> tuple:
+    """K1-K3: the positive-family entries EP8, EP3 and EP5p under their classical ids."""
+    axioms = (facts.ep8, facts.ep3, facts.ep5p)
+    return tuple(replace(entry, check_id=k) for k, entry in zip(KOLMOGOROV_IDS, axioms))
+
+
 def check_kolmogorov_restriction(space: ExtendedSpace) -> ValidationReport:
     """K1-K3 for the measure restricted to the positive family.
 
     The restriction of any valid space is an ordinary probability space, so
     all three must pass; failures indicate an injected fault.
     """
-    pmap = _pmap(space)
-    entries = []
-
-    k1 = CheckEntry("K1", True)
-    for member in space.fplus:
-        if pmap[member] < 0:
-            k1 = CheckEntry("K1", False, _cx(event=member, value=pmap[member]))
-            break
-    entries.append(k1)
-
-    value = pmap[space.omega_plus]
-    if value != 1:
-        entries.append(CheckEntry("K2", False, _cx(event=space.omega_plus, value=value, expected=1)))
-    else:
-        entries.append(CheckEntry("K2", True))
-
-    k3 = _additivity("K3", _PackedFamily(space, space.fplus, pmap), pmap)
-    entries.append(CheckEntry("K3", k3.passed, k3.counterexample))
-
-    return ValidationReport(tuple(entries))
+    return ValidationReport(_kolmogorov(_Facts(space)))
 
 
 # ---------------------------------------------------------------------------
 # Result suite
 # ---------------------------------------------------------------------------
 
+# check id -> (description, check), in report order.
+_SUITE: dict = {}
 
-def _suite_c1(space, pmap, packed):
-    omega_plus, omega_minus = space.omega_plus, space.omega_minus
-    for label in space.ground.labels:
+
+def _suite(check_id: str, description: str):
+    """Register the decorated function as the suite check ``check_id``."""
+
+    def register(check):
+        _SUITE[check_id] = (description, check)
+        return check
+
+    return register
+
+
+@_suite("C1", "a label lies in the positive half-space iff its negation lies in the negative one")
+def _suite_c1(facts):
+    omega_plus, omega_minus = facts.space.omega_plus, facts.space.omega_minus
+    for label in facts.space.ground.labels:
         if (Atom(label) in omega_plus) != (Atom(label, False) in omega_minus):
             return CheckEntry("C1", False, _cx(label=label))
     return CheckEntry("C1", True)
 
 
-def _suite_c2(space, pmap, packed):
-    for label in space.ground.labels:
+@_suite("C2", "atom negation is an involution")
+def _suite_c2(facts):
+    for label in facts.space.ground.labels:
         for atom in (Atom(label), Atom(label, False)):
             if -(-atom) != atom:
                 return CheckEntry("C2", False, _cx(atom=atom.text))
     return CheckEntry("C2", True)
 
 
-def _suite_c3(space, pmap, packed):
-    for event in space.events_in_order:
+@_suite("C3", "event negation is an involution")
+def _suite_c3(facts):
+    for event in facts.space.f:
         if -(-event) != event:
             return CheckEntry("C3", False, _cx(event=event))
     return CheckEntry("C3", True)
 
 
-def _suite_c4(space, pmap, packed):
-    mirror = mirror_family(space.fplus)
-    shared = space.fplus.events & mirror.events
+@_suite("C4", "positive and mirror families share only the empty event")
+def _suite_c4(facts):
+    shared = facts.space.fplus.events & facts.mirror.events
     if shared != {Event()}:
         culprit = sorted(shared - {Event()}, key=lambda e: e.text())
         extra = culprit[0] if culprit else Event()
@@ -493,14 +548,18 @@ def _suite_c4(space, pmap, packed):
     return CheckEntry("C4", True, note="only shared member is the empty event")
 
 
-def _suite_c5(space, pmap, packed):
-    for event in space.events_in_order:
+@_suite("C5", "P(A) <= 1 on the measurable family")
+def _suite_c5(facts):
+    pmap = facts.pmap
+    for event in facts.space.f:
         if pmap[event] > 1:
             return CheckEntry("C5", False, _cx(event=event, value=pmap[event]))
     return CheckEntry("C5", True)
 
 
-def _suite_l1(space, pmap, packed):
+@_suite("L1", "negating a full half-space yields the other")
+def _suite_l1(facts):
+    space = facts.space
     if -space.omega_plus != space.omega_minus:
         return CheckEntry("L1", False, _cx(side="positive"))
     if -space.omega_minus != space.omega_plus:
@@ -508,17 +567,19 @@ def _suite_l1(space, pmap, packed):
     return CheckEntry("L1", True)
 
 
-def _suite_l2(space, pmap, packed):
-    for label in space.ground.labels:
+@_suite("L2", "no atom equals its own negation")
+def _suite_l2(facts):
+    for label in facts.space.ground.labels:
         for atom in (Atom(label), Atom(label, False)):
             if -atom == atom:
                 return CheckEntry("L2", False, _cx(atom=atom.text))
     return CheckEntry("L2", True)
 
 
-def _suite_l3(space, pmap, packed):
+@_suite("L3", "X + (-X) annihilates to the empty event")
+def _suite_l3(facts):
     empty = Event()
-    for event in space.events_in_order:
+    for event in facts.space.f:
         if annihilating_union(event, -event) != empty:
             return CheckEntry("L3", False, _cx(event=event))
         if not annihilated_equals(tuple(event) + tuple(-event), empty):
@@ -526,13 +587,14 @@ def _suite_l3(space, pmap, packed):
     return CheckEntry("L3", True)
 
 
-def _suite_l4(space, pmap, packed):
+@_suite("L4", "annihilating union is idempotent, commutative, has unit {}, is plain union on one sign, and associates when no label spans all three operands")
+def _suite_l4(facts):
     # Unrestricted associativity is inconsistent with idempotence plus
     # annihilation: ({a}+{a})+{-a} = {} but {a}+({a}+{-a}) = {a}.  The law
     # holds whenever no label occurs in all three operands, so that is the
     # checked statement; the first refutation of the unrestricted form is
     # reported in the note.
-    family = packed()
+    family = facts.packed
     codec, masks, events = family.codec, family.masks, family.events
     union = codec.union
     for i, x in enumerate(masks):
@@ -613,8 +675,9 @@ def _suite_l4(space, pmap, packed):
     return CheckEntry("L4", True, note=note)
 
 
-def _suite_l5(space, pmap, packed):
-    family = packed()
+@_suite("L5", "intersection does not distribute over annihilating union (witness search)")
+def _suite_l5(facts):
+    family = facts.packed
     codec, masks = family.codec, family.masks
     union, decode = codec.union, codec.decode
     witness_a = None
@@ -656,8 +719,9 @@ def _suite_l5(space, pmap, packed):
     )
 
 
-def _suite_l6(space, pmap, packed):
-    family = packed()
+@_suite("L6", "intersection decomposes through signed parts")
+def _suite_l6(facts):
+    family = facts.packed
     codec, masks = family.codec, family.masks
     union, low, high = codec.union, codec.low, codec.high
     for i, a in enumerate(masks):
@@ -668,8 +732,9 @@ def _suite_l6(space, pmap, packed):
     return CheckEntry("L6", True)
 
 
-def _suite_l7(space, pmap, packed):
-    family = packed()
+@_suite("L7", "difference decomposes through signed parts")
+def _suite_l7(facts):
+    family = facts.packed
     codec, masks = family.codec, family.masks
     union, low, high = codec.union, codec.low, codec.high
     for i, a in enumerate(masks):
@@ -680,16 +745,18 @@ def _suite_l7(space, pmap, packed):
     return CheckEntry("L7", True)
 
 
-def _suite_l8(space, pmap, packed):
-    for event in space.events_in_order:
+@_suite("L8", "an event is the (annihilating or plain) union of its signed parts")
+def _suite_l8(facts):
+    for event in facts.space.f:
         pos, neg = event.split()
         if pos + neg != event or plain_union(pos, neg) != event:
             return CheckEntry("L8", False, _cx(event=event))
     return CheckEntry("L8", True)
 
 
-def _suite_l9(space, pmap, packed):
-    family = packed()
+@_suite("L9", "annihilating union decomposes through signed parts")
+def _suite_l9(facts):
+    family = facts.packed
     codec, masks = family.codec, family.masks
     union, low, high = codec.union, codec.low, codec.high
     for i, a in enumerate(masks):
@@ -700,23 +767,24 @@ def _suite_l9(space, pmap, packed):
     return CheckEntry("L9", True)
 
 
-def _suite_l10(space, pmap, packed):
-    value = pmap[Event()]
-    if value != 0:
-        return CheckEntry("L10", False, _cx(value=value))
-    return CheckEntry("L10", True)
+@_suite("L10", "P({}) = 0")
+def _suite_l10(facts):
+    ep9 = facts.ep9
+    return CheckEntry("L10", ep9.passed, ep9.counterexample[1:])
 
 
-def _suite_l11(space, pmap, packed):
-    for event in space.events_in_order:
+@_suite("L11", "positive and negative parts are disjoint")
+def _suite_l11(facts):
+    for event in facts.space.f:
         pos, neg = event.split()
         if pos & neg != Event():
             return CheckEntry("L11", False, _cx(event=event))
     return CheckEntry("L11", True)
 
 
-def _suite_p1(space, pmap, packed):
-    omega_plus, omega_minus = space.omega_plus, space.omega_minus
+@_suite("P1", "negation is a bijection; the half-spaces have equal size")
+def _suite_p1(facts):
+    omega_plus, omega_minus = facts.space.omega_plus, facts.space.omega_minus
     if len(omega_plus) != len(omega_minus):
         return CheckEntry("P1", False, _cx(positive=len(omega_plus), negative=len(omega_minus)))
     negated = {-atom for atom in omega_plus} | {-atom for atom in omega_minus}
@@ -725,49 +793,51 @@ def _suite_p1(space, pmap, packed):
     return CheckEntry("P1", True)
 
 
-def _suite_p2(space, pmap, packed):
-    if intersection(space.omega_plus, space.omega_minus) != Event():
+@_suite("P2", "the half-spaces are disjoint")
+def _suite_p2(facts):
+    if intersection(facts.space.omega_plus, facts.space.omega_minus) != Event():
         return CheckEntry("P2", False, _cx(reason="half-spaces intersect"))
     return CheckEntry("P2", True)
 
 
-def _suite_p3(space, pmap, packed):
-    mirror = mirror_family(space.fplus)
+@_suite("P3", "positive and mirror families embed in the measurable family, parts stay inside")
+def _suite_p3(facts):
+    space = facts.space
     if not space.fplus.events <= space.f.events:
         return CheckEntry("P3", False, _cx(reason="positive family escapes the composition"))
-    if not mirror.events <= space.f.events:
+    if not facts.mirror.events <= space.f.events:
         return CheckEntry("P3", False, _cx(reason="mirror family escapes the composition"))
-    for event in space.events_in_order:
-        pos, neg = event.split()
-        if pos not in space.fplus or neg not in mirror:
-            return CheckEntry("P3", False, _cx(event=event, reason="part outside its family"))
-    return CheckEntry("P3", True)
+    return _parts_inside("P3", facts)
 
 
-def _suite_p4(space, pmap, packed):
-    omega_plus, omega_minus = space.omega_plus, space.omega_minus
-    for event in space.events_in_order:
+@_suite("P4", "an event is positive iff its negation is negative")
+def _suite_p4(facts):
+    omega_plus, omega_minus = facts.space.omega_plus, facts.space.omega_minus
+    for event in facts.space.f:
         if event.issubset(omega_plus) != (-event).issubset(omega_minus):
             return CheckEntry("P4", False, _cx(event=event))
     return CheckEntry("P4", True)
 
 
-def _suite_p5(space, pmap, packed):
-    mirror = mirror_family(space.fplus)
-    negative_members = {event for event in space.f.events if event.is_negative}
-    if negative_members != mirror.events:
+@_suite("P5", "the mirror family is exactly the negative-supported measurable events")
+def _suite_p5(facts):
+    members, mirror = facts.space.f.events, facts.mirror.events
+    negative_members = {event for event in members if event.is_negative}
+    if negative_members != mirror:
         return CheckEntry("P5", False, _cx(reason="negative-supported members differ from mirror"))
-    restricted = {event.negative_part for event in space.f.events}
-    if restricted != mirror.events:
+    restricted = {event.negative_part for event in members}
+    if restricted != mirror:
         return CheckEntry("P5", False, _cx(reason="negative restrictions differ from mirror"))
     return CheckEntry("P5", True)
 
 
-def _suite_p6(space, pmap, packed):
+@_suite("P6", "P of an annihilating union equals P of the plain-union draft")
+def _suite_p6(facts):
     # Stays on events: it compares the draft path (normalize, then measure)
     # with the union path, and on packed ints both are the same int operation.
-    for x in space.events_in_order:
-        for y in space.events_in_order:
+    space, pmap = facts.space, facts.pmap
+    for x in space.f:
+        for y in space.f:
             joined = x + y
             if joined not in pmap:
                 return CheckEntry("P6", False, _cx(X=x, Y=y, reason="union not measurable"))
@@ -777,8 +847,9 @@ def _suite_p6(space, pmap, packed):
     return CheckEntry("P6", True)
 
 
-def _suite_p7(space, pmap, packed):
-    family = packed()
+@_suite("P7", "intersecting with a negation commutes with negating")
+def _suite_p7(facts):
+    family = facts.packed
     negate, masks = family.codec.negate, family.masks
     for i, x in enumerate(masks):
         for j, y in enumerate(masks):
@@ -787,8 +858,10 @@ def _suite_p7(space, pmap, packed):
     return CheckEntry("P7", True)
 
 
-def _suite_p8(space, pmap, packed):
-    for event in space.events_in_order:
+@_suite("P8", "P(A) = -P(-A)")
+def _suite_p8(facts):
+    pmap = facts.pmap
+    for event in facts.space.f:
         if pmap[event] != -pmap[-event]:
             return CheckEntry(
                 "P8", False, _cx(event=event, lhs=pmap[event], rhs=-pmap[-event])
@@ -796,7 +869,9 @@ def _suite_p8(space, pmap, packed):
     return CheckEntry("P8", True)
 
 
-def _suite_p9(space, pmap, packed):
+@_suite("P9", "P of everything plus anti-everything is 0")
+def _suite_p9(facts):
+    space = facts.space
     draft = tuple(space.omega_plus) + tuple(space.omega_minus)
     value = space.draft_probability(draft)
     if value != 0:
@@ -804,8 +879,10 @@ def _suite_p9(space, pmap, packed):
     return CheckEntry("P9", True, note="everything plus anti-everything annihilates")
 
 
-def _suite_p10(space, pmap, packed):
-    for event in space.events_in_order:
+@_suite("P10", "P(A) = -P(complement(A))")
+def _suite_p10(facts):
+    space, pmap = facts.space, facts.pmap
+    for event in space.f:
         comp = space.complement(event)
         if comp not in pmap:
             return CheckEntry("P10", False, _cx(event=event, reason="complement not measurable"))
@@ -816,8 +893,10 @@ def _suite_p10(space, pmap, packed):
     return CheckEntry("P10", True)
 
 
-def _suite_p11a(space, pmap, packed):
-    for event in space.events_in_order:
+@_suite("P11a", "P is additive over singleton members")
+def _suite_p11a(facts):
+    pmap = facts.pmap
+    for event in facts.space.f:
         singles = [Event([atom]) for atom in event]
         if all(single in pmap for single in singles):
             total = sum((pmap[s] for s in singles), Fraction(0))
@@ -826,28 +905,32 @@ def _suite_p11a(space, pmap, packed):
     return CheckEntry("P11a", True)
 
 
-def _suite_p11b(space, pmap, packed):
-    for event in space.events_in_order:
+@_suite("P11b", "-1 <= P(A) <= 1")
+def _suite_p11b(facts):
+    pmap = facts.pmap
+    for event in facts.space.f:
         if not -1 <= pmap[event] <= 1:
             return CheckEntry("P11b", False, _cx(event=event, value=pmap[event]))
     return CheckEntry("P11b", True)
 
 
-def _suite_t1(space, pmap, packed):
-    mirror = mirror_family(space.fplus)
-    plus_algebra, _ = is_set_algebra(space.fplus)
+@_suite("T1", "the mirror of a set algebra (field) is a set algebra (field)")
+def _suite_t1(facts):
+    mirror = facts.mirror
+    plus_algebra, _ = facts.algebra
     minus_algebra, _ = is_set_algebra(mirror)
     if plus_algebra and not minus_algebra:
         return CheckEntry("T1", False, _cx(reason="mirror lost the algebra structure"))
-    plus_field = is_set_field(space.fplus, space.omega_plus)
-    minus_field = is_set_field(mirror, space.omega_minus)
+    plus_field = facts.field
+    minus_field = is_set_field(mirror, facts.space.omega_minus)
     if plus_field and not minus_field:
         return CheckEntry("T1", False, _cx(reason="mirror lost the field structure"))
     return CheckEntry("T1", True, note=f"algebra={plus_algebra} field={plus_field}")
 
 
-def _suite_t2(space, pmap, packed):
-    family = packed()
+@_suite("T2", "the measurable family is closed under +, &, -, and complement")
+def _suite_t2(facts):
+    family = facts.packed
     codec, masks, events, members = family.codec, family.masks, family.events, family.index
     union = codec.union
     for i, x in enumerate(masks):
@@ -858,7 +941,7 @@ def _suite_t2(space, pmap, packed):
                 return CheckEntry("T2", False, _cx(op="&", X=events[i], Y=events[j]))
             if x & ~y not in members:
                 return CheckEntry("T2", False, _cx(op="-", X=events[i], Y=events[j]))
-    if is_set_field(space.fplus, space.omega_plus):
+    if facts.field:
         for i, x in enumerate(masks):
             # Part-wise complement, joined with annihilation (ExtendedSpace.complement).
             if union(codec.low & ~x, codec.high & ~x) not in members:
@@ -866,8 +949,10 @@ def _suite_t2(space, pmap, packed):
     return CheckEntry("T2", True)
 
 
-def _suite_t3(space, pmap, packed):
-    for event in space.events_in_order:
+@_suite("T3", "P(A) = P(A+) + P(A-) = P(A+) - P(-(A-))")
+def _suite_t3(facts):
+    pmap = facts.pmap
+    for event in facts.space.f:
         pos, neg = event.split()
         by_sum = pmap[pos] + pmap[neg]
         by_diff = pmap[pos] - pmap[-neg]
@@ -876,9 +961,11 @@ def _suite_t3(space, pmap, packed):
     return CheckEntry("T3", True)
 
 
-def _suite_t4a(space, pmap, packed):
+@_suite("T4a", "P(complement(A)) decomposes through part complements")
+def _suite_t4a(facts):
+    space, pmap = facts.space, facts.pmap
     omega_plus = space.omega_plus
-    for event in space.events_in_order:
+    for event in space.f:
         pos, neg = event.split()
         comp = space.complement(event)
         if comp not in pmap:
@@ -896,13 +983,15 @@ def _suite_t4a(space, pmap, packed):
     return CheckEntry("T4a", True)
 
 
-def _suite_t4b(space, pmap, packed):
-    positives = tuple(space.fplus)
+@_suite("T4b", "P is monotone on the positive family and antimonotone on the mirror")
+def _suite_t4b(facts):
+    pmap = facts.pmap
+    positives = tuple(facts.space.fplus)
     for a in positives:
         for b in positives:
             if a.issubset(b) and pmap[a] > pmap[b]:
                 return CheckEntry("T4b", False, _cx(side="positive", A=a, B=b, pa=pmap[a], pb=pmap[b]))
-    negatives = tuple(mirror_family(space.fplus))
+    negatives = tuple(facts.mirror)
     for h in negatives:
         for k in negatives:
             if h.issubset(k) and pmap[h] < pmap[k]:
@@ -910,21 +999,20 @@ def _suite_t4b(space, pmap, packed):
     return CheckEntry("T4b", True)
 
 
-def _suite_t5(space, pmap, packed):
+@_suite("T5", "continuity on the measurable family (finitely vacuous)")
+def _suite_t5(facts):
+    # T5 shows the value EP9 reports and the event EP10 reports.
     note = "finite spaces: decreasing chains stabilize, continuity reduces to P({})=0"
-    if pmap[Event()] != 0:
-        return CheckEntry("T5", False, _cx(value=pmap[Event()]), note=note)
-    for event in space.events_in_order:
-        pos, neg = event.split()
-        if pmap[event] != pmap[pos] + pmap[neg]:
-            return CheckEntry("T5", False, _cx(event=event), note=note)
+    if not facts.ep9.passed:
+        return CheckEntry("T5", False, facts.ep9.counterexample[1:], note=note)
+    if not facts.ep10.passed:
+        return CheckEntry("T5", False, facts.ep10.counterexample[:1], note=note)
     return CheckEntry("T5", True, note=note)
 
 
-def _suite_t6(space, pmap, packed):
-    ep5p = _check_ep5p(space, pmap)
-    ep10 = _check_ep10(space, pmap, None, 0)
-    ep5 = _additivity("EP5", packed(), pmap)
+@_suite("T6", "positive additivity plus decomposition imply full additivity")
+def _suite_t6(facts):
+    ep5p, ep10, ep5 = facts.ep5p, facts.ep10, facts.ep5
     status = (
         f"EP5p={'PASS' if ep5p.passed else 'FAIL'} "
         f"EP10={'PASS' if ep10.passed else 'FAIL'} "
@@ -936,96 +1024,20 @@ def _suite_t6(space, pmap, packed):
     return CheckEntry("T6", True, note=status)
 
 
-def _suite_t7(space, pmap, packed):
-    restriction = check_kolmogorov_restriction(space)
-    for entry in restriction:
+@_suite("T7", "the restriction to the positive family satisfies K1-K3")
+def _suite_t7(facts):
+    for entry in _kolmogorov(facts):
         if not entry.passed:
             return CheckEntry("T7", False, entry.counterexample, note=f"{entry.check_id} failed")
     return CheckEntry("T7", True, note="restriction satisfies K1,K2,K3")
 
 
-SUITE_CATALOG = (
-    ("C1", "a label lies in the positive half-space iff its negation lies in the negative one"),
-    ("C2", "atom negation is an involution"),
-    ("C3", "event negation is an involution"),
-    ("C4", "positive and mirror families share only the empty event"),
-    ("C5", "P(A) <= 1 on the measurable family"),
-    ("L1", "negating a full half-space yields the other"),
-    ("L2", "no atom equals its own negation"),
-    ("L3", "X + (-X) annihilates to the empty event"),
-    ("L4", "annihilating union is idempotent, commutative, has unit {}, is plain union on one sign, and associates when no label spans all three operands"),
-    ("L5", "intersection does not distribute over annihilating union (witness search)"),
-    ("L6", "intersection decomposes through signed parts"),
-    ("L7", "difference decomposes through signed parts"),
-    ("L8", "an event is the (annihilating or plain) union of its signed parts"),
-    ("L9", "annihilating union decomposes through signed parts"),
-    ("L10", "P({}) = 0"),
-    ("L11", "positive and negative parts are disjoint"),
-    ("P1", "negation is a bijection; the half-spaces have equal size"),
-    ("P2", "the half-spaces are disjoint"),
-    ("P3", "positive and mirror families embed in the measurable family, parts stay inside"),
-    ("P4", "an event is positive iff its negation is negative"),
-    ("P5", "the mirror family is exactly the negative-supported measurable events"),
-    ("P6", "P of an annihilating union equals P of the plain-union draft"),
-    ("P7", "intersecting with a negation commutes with negating"),
-    ("P8", "P(A) = -P(-A)"),
-    ("P9", "P of everything plus anti-everything is 0"),
-    ("P10", "P(A) = -P(complement(A))"),
-    ("P11a", "P is additive over singleton members"),
-    ("P11b", "-1 <= P(A) <= 1"),
-    ("T1", "the mirror of a set algebra (field) is a set algebra (field)"),
-    ("T2", "the measurable family is closed under +, &, -, and complement"),
-    ("T3", "P(A) = P(A+) + P(A-) = P(A+) - P(-(A-))"),
-    ("T4a", "P(complement(A)) decomposes through part complements"),
-    ("T4b", "P is monotone on the positive family and antimonotone on the mirror"),
-    ("T5", "continuity on the measurable family (finitely vacuous)"),
-    ("T6", "positive additivity plus decomposition imply full additivity"),
-    ("T7", "the restriction to the positive family satisfies K1-K3"),
-)
-
-_SUITE_FUNCS = {
-    "C1": _suite_c1,
-    "C2": _suite_c2,
-    "C3": _suite_c3,
-    "C4": _suite_c4,
-    "C5": _suite_c5,
-    "L1": _suite_l1,
-    "L2": _suite_l2,
-    "L3": _suite_l3,
-    "L4": _suite_l4,
-    "L5": _suite_l5,
-    "L6": _suite_l6,
-    "L7": _suite_l7,
-    "L8": _suite_l8,
-    "L9": _suite_l9,
-    "L10": _suite_l10,
-    "L11": _suite_l11,
-    "P1": _suite_p1,
-    "P2": _suite_p2,
-    "P3": _suite_p3,
-    "P4": _suite_p4,
-    "P5": _suite_p5,
-    "P6": _suite_p6,
-    "P7": _suite_p7,
-    "P8": _suite_p8,
-    "P9": _suite_p9,
-    "P10": _suite_p10,
-    "P11a": _suite_p11a,
-    "P11b": _suite_p11b,
-    "T1": _suite_t1,
-    "T2": _suite_t2,
-    "T3": _suite_t3,
-    "T4a": _suite_t4a,
-    "T4b": _suite_t4b,
-    "T5": _suite_t5,
-    "T6": _suite_t6,
-    "T7": _suite_t7,
-}
+SUITE_CATALOG = tuple((check_id, description) for check_id, (description, _) in _SUITE.items())
 
 
 def suite_ids() -> tuple:
     """All suite check ids in report order."""
-    return tuple(check_id for check_id, _ in SUITE_CATALOG)
+    return tuple(_SUITE)
 
 
 def run_theorem_suite(space: ExtendedSpace, ids: "Iterable[str] | None" = None) -> ValidationReport:
@@ -1033,22 +1045,20 @@ def run_theorem_suite(space: ExtendedSpace, ids: "Iterable[str] | None" = None) 
 
     Exhaustive over the space's measurable family of N members: L4
     enumerates all N**3 member triples, the pair checks all N**2 pairs.  The
-    triple and most pair loops run on packed ints (one :class:`_PackedFamily`
-    per call, built only when a selected check needs it); P6 evaluates a
-    draft per pair and is the slowest check past four atoms.  Measured on a
-    2-core x86 VM with CPython 3.11, the full suite on an n-atom powerset
-    takes about 0.3 s at n = 4 (81 members), 3 s at n = 5 and 35 s at n = 6.
+    triple and most pair loops run on the packed family of the call's
+    :class:`_Facts`, which builds only what the selected checks read (C1, L1
+    or P9 build no probability map); P6 evaluates a draft per pair and is
+    the slowest check past four atoms.  Measured on a 2-core x86 VM with
+    CPython 3.11, the full suite on an n-atom powerset takes about 0.3 s at
+    n = 4 (81 members), 3 s at n = 5 and 35 s at n = 6.
     """
     if ids is None:
-        selected = [check_id for check_id, _ in SUITE_CATALOG]
+        selected = list(_SUITE)
     else:
         selected = list(ids)
-        known = set(_SUITE_FUNCS)
-        unknown = [check_id for check_id in selected if check_id not in known]
+        unknown = [check_id for check_id in selected if check_id not in _SUITE]
         if unknown:
             raise ValueError(f"unknown suite id(s): {', '.join(unknown)}")
-    pmap = _pmap(space)
-    packed = cache(lambda: _PackedFamily(space, space.events_in_order, pmap))
-    entries = [_SUITE_FUNCS[check_id](space, pmap, packed) for check_id in selected]
-    entries.sort(key=lambda e: _id_key(e.check_id))
-    return ValidationReport(tuple(entries))
+        selected.sort(key=list(_SUITE).index)
+    facts = _Facts(space)
+    return ValidationReport(tuple(_SUITE[check_id][1](facts) for check_id in selected))

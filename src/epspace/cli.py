@@ -28,7 +28,7 @@ from .checks import (
 )
 from .errors import EpspaceError, InvalidEventError, ParseError
 from .events import Event, annihilating_union, difference, intersection, parse_draft
-from .harness import FuzzConfig, enumerate_events, parse_space, random_space
+from .harness import FuzzConfig, parse_space, random_space
 
 _CALC_OPS = {
     "union": annihilating_union,
@@ -97,6 +97,8 @@ def _load(path: str):
             text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path!r}: not UTF-8 text") from None
     return parse_space(text)
 
 
@@ -147,7 +149,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     space = _load(args.file)
-    events = enumerate_events(space)
+    events = tuple(space.f)
     if args.limit is not None:
         if args.limit < 0:
             print("epspace: --limit must be non-negative", file=sys.stderr)

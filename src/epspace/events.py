@@ -327,7 +327,8 @@ def canonical_key(event: Event):
     Positive sorts before negative on the same label, so singletons order as
     ``{a}`` before ``{-a}``.
     """
-    return (len(event), tuple(atom.key for atom in event))
+    signed = [(label, 0) for label in event._pos] + [(label, 1) for label in event._neg]
+    return (len(event), tuple(sorted(signed)))
 
 
 class LabelMask:

@@ -1,4 +1,4 @@
-"""Space documents, exhaustive enumeration, and deterministic random spaces.
+"""Space documents and deterministic random spaces.
 
 A space document is a UTF-8 JSON object::
 
@@ -43,7 +43,6 @@ __all__ = [
     "build_space",
     "parse_space",
     "serialize_space",
-    "enumerate_events",
     "FuzzConfig",
     "random_space",
 ]
@@ -216,12 +215,6 @@ def serialize_space(space: ExtendedSpace) -> str:
         "algebra": algebra,
     }
     return json.dumps(document, indent=2) + "\n"
-
-
-def enumerate_events(space: ExtendedSpace) -> tuple:
-    """Every measurable event exactly once, in canonical order
-    (by size, then signed-label order with positive before negative)."""
-    return space.events_in_order
 
 
 @dataclass(frozen=True)

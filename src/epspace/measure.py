@@ -101,7 +101,6 @@ class ExtendedSpace:
     fplus: Family
     f: Family
     overrides: Mapping[Event, Fraction] = field(default_factory=lambda: MappingProxyType({}))
-    events_in_order: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def omega_plus(self) -> Event:
@@ -166,7 +165,6 @@ class ExtendedSpace:
             fplus=self.fplus,
             f=self.f,
             overrides=MappingProxyType(pinned),
-            events_in_order=self.events_in_order,
         )
 
 
@@ -229,14 +227,11 @@ def make_space(
                 f"{omega.text()!r}"
             )
 
-    composed = compose_family(fplus)
-    ordered = tuple(composed)
     return ExtendedSpace(
         ground=ground,
         weights=MappingProxyType(converted),
         fplus=fplus,
-        f=composed,
-        events_in_order=ordered,
+        f=compose_family(fplus),
     )
 
 

@@ -179,6 +179,15 @@ def test_validate_duplicate_weight_key_exits_two(capsys, tmp_path):
     assert err == "epspace: weights: duplicate key 'a'\n"
 
 
+def test_non_utf8_file_exits_two(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"epspace: cannot read {str(path)!r}: not UTF-8 text\n"
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/space.json")
     assert code == 2

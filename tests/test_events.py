@@ -309,6 +309,13 @@ def test_canonical_order_by_size_then_labels():
     assert ordered == [Event("-a"), Event("b"), Event("a,b"), Event("a,-b")]
 
 
+@given(events)
+def test_canonical_key_matches_atom_form(event):
+    # The key is built from the label sets; it must equal the key spelled
+    # through the event's atoms.
+    assert canonical_key(event) == (len(event), tuple(atom.key for atom in event))
+
+
 def test_plain_union_none_on_sign_clash():
     assert plain_union(Event("a"), Event("-a")) is None
     assert plain_union(Event("a"), Event("b")) == Event("a,b")

@@ -13,7 +13,6 @@ from epspace import (
     NormalizationError,
     ParseError,
     SchemaError,
-    enumerate_events,
     make_space,
     parse_document,
     parse_space,
@@ -155,12 +154,12 @@ def test_roundtrip_generated_algebra():
 
 def test_enumerate_single_atom_order():
     space = make_space(("a",), {"a": 1})
-    assert enumerate_events(space) == (Event(), Event("a"), Event("-a"))
+    assert tuple(space.f) == (Event(), Event("a"), Event("-a"))
 
 
 def test_enumerate_two_atoms_count():
     space = make_space(("a", "b"), {"a": "1/2", "b": "1/2"})
-    events = enumerate_events(space)
+    events = tuple(space.f)
     assert len(events) == 9
     assert len(set(events)) == 9
 
@@ -170,12 +169,12 @@ def test_enumerate_trivial_algebra():
 
     fplus = Family.of(Event(), Event("a,b"))
     space = make_space(("a", "b"), {"a": "1/2", "b": "1/2"}, fplus)
-    assert enumerate_events(space) == (Event(), Event("a,b"), Event("-a,-b"))
+    assert tuple(space.f) == (Event(), Event("a,b"), Event("-a,-b"))
 
 
 def test_enumeration_closed_under_negation():
     space = make_space(("a", "b", "c"), {"a": "1/2", "b": "1/4", "c": "1/4"})
-    events = set(enumerate_events(space))
+    events = set(space.f)
     assert {-event for event in events} == events
 
 

@@ -30,7 +30,7 @@ from epspace import (
     run_theorem_suite,
     validate_axioms,
 )
-from epspace.checks import CheckEntry, _cx, _pmap
+from epspace.checks import CheckEntry, _cx, _Facts
 from epspace.events import LabelMask, plain_symmetric_difference, plain_union
 
 from conftest import events
@@ -83,7 +83,7 @@ def reference_is_set_ring(family: Family) -> bool:
 
 
 def reference_l4(space, pmap):
-    events = space.events_in_order
+    events = tuple(space.f)
     empty = Event()
     for x in events:
         if x + x != x:
@@ -127,7 +127,7 @@ def reference_l4(space, pmap):
 
 
 def reference_l5(space, pmap):
-    events = space.events_in_order
+    events = tuple(space.f)
     witness_a = None
     for x in events:
         for y in events:
@@ -166,9 +166,9 @@ def reference_l5(space, pmap):
 
 
 def reference_l6(space, pmap):
-    for a in space.events_in_order:
+    for a in space.f:
         ap, an = a.split()
-        for b in space.events_in_order:
+        for b in space.f:
             bp, bn = b.split()
             if (a & b) != (ap & bp) + (an & bn):
                 return CheckEntry("L6", False, _cx(A=a, B=b))
@@ -176,9 +176,9 @@ def reference_l6(space, pmap):
 
 
 def reference_l7(space, pmap):
-    for a in space.events_in_order:
+    for a in space.f:
         ap, an = a.split()
-        for b in space.events_in_order:
+        for b in space.f:
             bp, bn = b.split()
             if (a - b) != (ap - bp) + (an - bn):
                 return CheckEntry("L7", False, _cx(A=a, B=b))
@@ -186,9 +186,9 @@ def reference_l7(space, pmap):
 
 
 def reference_l9(space, pmap):
-    for a in space.events_in_order:
+    for a in space.f:
         ap, an = a.split()
-        for b in space.events_in_order:
+        for b in space.f:
             bp, bn = b.split()
             if a + b != (ap + bp) + (an + bn):
                 return CheckEntry("L9", False, _cx(A=a, B=b))
@@ -196,8 +196,8 @@ def reference_l9(space, pmap):
 
 
 def reference_p7(space, pmap):
-    for x in space.events_in_order:
-        for y in space.events_in_order:
+    for x in space.f:
+        for y in space.f:
             if (x & -y) != -((-x) & y):
                 return CheckEntry("P7", False, _cx(X=x, Y=y))
     return CheckEntry("P7", True)
@@ -205,8 +205,8 @@ def reference_p7(space, pmap):
 
 def reference_t2(space, pmap):
     members = space.f.events
-    for x in space.events_in_order:
-        for y in space.events_in_order:
+    for x in space.f:
+        for y in space.f:
             if x + y not in members:
                 return CheckEntry("T2", False, _cx(op="+", X=x, Y=y))
             if x & y not in members:
@@ -214,7 +214,7 @@ def reference_t2(space, pmap):
             if x - y not in members:
                 return CheckEntry("T2", False, _cx(op="-", X=x, Y=y))
     if is_set_field(space.fplus, space.omega_plus):
-        for x in space.events_in_order:
+        for x in space.f:
             if space.complement(x) not in members:
                 return CheckEntry("T2", False, _cx(op="complement", X=x))
     return CheckEntry("T2", True)
@@ -232,7 +232,7 @@ REFERENCE_SUITE = {
 
 
 def assert_suite_matches_reference(space):
-    pmap = _pmap(space)
+    pmap = _Facts(space).pmap
     report = run_theorem_suite(space, REFERENCE_SUITE)
     for check_id, reference in REFERENCE_SUITE.items():
         assert report.entry(check_id) == reference(space, pmap), check_id
@@ -249,7 +249,7 @@ def damaged_spaces(draw, max_atoms=5):
     algebra = draw(st.sampled_from(("powerset", "generated")))
     seed = draw(st.integers(0, 2 ** 32))
     space = random_space(FuzzConfig(atoms=atoms, trials=1, seed=seed), 0, algebra=algebra)
-    ordered = space.events_in_order
+    ordered = tuple(space.f)
     for _ in range(draw(st.integers(0, 2))):
         event = ordered[draw(st.integers(0, len(ordered) - 1))]
         value = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 4)))
@@ -311,9 +311,9 @@ def homogeneous_families(draw):
 @settings(max_examples=60)
 @given(damaged_spaces())
 def test_additivity_entries_match_reference(space):
-    pmap = _pmap(space)
+    pmap = _Facts(space).pmap
     report = validate_axioms(space)
-    expected_ep5 = reference_additivity("EP5", space.f, space.events_in_order, pmap)
+    expected_ep5 = reference_additivity("EP5", space.f, tuple(space.f), pmap)
     expected_ep5p = reference_additivity("EP5p", space.fplus, tuple(space.fplus), pmap)
     expected_k3 = reference_additivity("K3", space.fplus, tuple(space.fplus), pmap)
     assert report.entry("EP5") == expected_ep5
@@ -324,10 +324,10 @@ def test_additivity_entries_match_reference(space):
 
 def test_additivity_least_counterexample_on_late_override():
     space = random_space(FuzzConfig(atoms=4, trials=1, seed=3), 0, algebra="powerset")
-    last = space.events_in_order[-1]
+    last = tuple(space.f)[-1]
     damaged = space.with_override(last, 0)
-    pmap = _pmap(damaged)
-    expected = reference_additivity("EP5", damaged.f, damaged.events_in_order, pmap)
+    pmap = _Facts(damaged).pmap
+    expected = reference_additivity("EP5", damaged.f, tuple(damaged.f), pmap)
     assert not expected.passed
     assert validate_axioms(damaged).entry("EP5") == expected
 

@@ -143,19 +143,19 @@ def test_probability_outside_label_space():
 
 @given(spaces())
 def test_probability_antisymmetric_under_negation(space):
-    for event in space.events_in_order:
+    for event in space.f:
         assert space.probability(event) == -space.probability(-event)
 
 
 @given(spaces())
 def test_probability_bounds(space):
-    for event in space.events_in_order:
+    for event in space.f:
         assert -1 <= space.probability(event) <= 1
 
 
 @given(spaces())
 def test_probability_decomposes(space):
-    for event in space.events_in_order:
+    for event in space.f:
         pos, neg = event.split()
         assert space.probability(event) == space.probability(pos) + space.probability(neg)
 
@@ -181,7 +181,7 @@ def test_complement_examples():
 
 @given(spaces())
 def test_complement_is_negation_and_antisymmetric(space):
-    for event in space.events_in_order:
+    for event in space.f:
         comp = space.complement(event)
         assert comp == -event
         assert space.probability(event) == -space.probability(comp)
