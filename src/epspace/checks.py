@@ -30,7 +30,6 @@ across runs.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -38,6 +37,7 @@ from functools import cached_property
 from operator import itemgetter
 from random import Random
 
+from .errors import EventNotMeasurableError
 from .events import (
     Atom,
     Event,
@@ -155,23 +155,20 @@ class _PackedFamily:
 
     Holds the :class:`LabelMask` codec over the space's sorted labels, the
     members (``events``) and their masks in canonical order, the mask ->
-    index map, and each member's ``pmap`` value as an integer numerator over
-    one common denominator.  Events and fractions are decoded only for what
-    a check reports.
+    index map, and each member's probability as the space's integer
+    numerator over its one common denominator.  Events and fractions are
+    decoded only for what a check reports.  Every member of ``ordered`` must
+    be measurable.
     """
 
     __slots__ = ("codec", "events", "masks", "index", "numerators")
 
-    def __init__(self, space: ExtendedSpace, ordered, pmap: dict):
+    def __init__(self, space: ExtendedSpace, ordered):
         self.codec = codec = LabelMask(sorted(space.ground.labels))
         self.events = tuple(ordered)
         self.masks = [codec.encode(event) for event in self.events]
         self.index = {mask: i for i, mask in enumerate(self.masks)}
-        values = [pmap[event] for event in self.events]
-        denominator = math.lcm(*(value.denominator for value in values))
-        self.numerators = [
-            value.numerator * (denominator // value.denominator) for value in values
-        ]
+        self.numerators = [space._numerator(event) for event in self.events]
 
 
 def _picker(indices):
@@ -221,6 +218,23 @@ def _additivity(check_id: str, family: _PackedFamily, pmap: dict) -> CheckEntry:
     return CheckEntry(check_id, True)
 
 
+def _not_measurable(check_id: str, event: Event, note: str = "") -> CheckEntry:
+    """The failure of a check that needs ``P(event)`` on a space without it:
+    a positive family built unchecked may compose to a family that lacks
+    the full or the empty event, or its own members."""
+    return CheckEntry(check_id, False, _cx(event=event, reason="not measurable"), note=note)
+
+
+def _sampled_members(facts: _Facts, salt: int):
+    """Yield ``(rng, member)`` for ``facts.trials`` seeded draws from the
+    measurable family; none from an empty family.  A caller may draw more
+    from ``rng`` between members."""
+    rng = Random(facts.seed ^ salt)
+    events = tuple(facts.space.f)
+    for _ in range(facts.trials if events else 0):
+        yield rng, events[rng.randrange(len(events))]
+
+
 # ---------------------------------------------------------------------------
 # Axioms
 # ---------------------------------------------------------------------------
@@ -253,9 +267,12 @@ def _check_ep2(facts: _Facts) -> CheckEntry:
 
 
 def _check_ep3(facts: _Facts) -> CheckEntry:
-    value = facts.pmap[facts.space.omega_plus]
+    omega_plus = facts.space.omega_plus
+    value = facts.pmap.get(omega_plus)
+    if value is None:
+        return _not_measurable("EP3", omega_plus)
     if value != 1:
-        return CheckEntry("EP3", False, _cx(event=facts.space.omega_plus, value=value, expected=1))
+        return CheckEntry("EP3", False, _cx(event=omega_plus, value=value, expected=1))
     return CheckEntry("EP3", True)
 
 
@@ -284,12 +301,9 @@ def _check_ep4(facts: _Facts) -> CheckEntry:
 def _check_ep5(facts: _Facts) -> CheckEntry:
     if facts.trials is None:
         return _additivity("EP5", facts.packed, facts.pmap)
-    space, pmap, note = facts.space, facts.pmap, facts.sampled_note
-    rng = Random(facts.seed)
-    events = tuple(space.f)
-    universe = space.f.events
-    for _ in range(facts.trials):
-        union_event = events[rng.randrange(len(events))]
+    pmap, note = facts.pmap, facts.sampled_note
+    universe = facts.space.f.events
+    for rng, union_event in _sampled_members(facts, 0):
         atoms = tuple(union_event)
         mask = rng.getrandbits(len(atoms)) if atoms else 0
         a_atoms = [atom for i, atom in enumerate(atoms) if mask >> i & 1]
@@ -308,39 +322,42 @@ def _check_ep5(facts: _Facts) -> CheckEntry:
 
 
 def _check_ep5p(facts: _Facts) -> CheckEntry:
+    f = facts.space.f
+    for member in facts.space.fplus:
+        if member not in f:
+            return _not_measurable("EP5p", member)
     return _additivity("EP5p", facts.packed_plus, facts.pmap)
 
 
 def _annihilation_insertions(facts: _Facts):
-    """Yield (event, label) probes; exhaustive or sampled.
+    """Yield ``(event, label, draft)`` probes, exhaustive or sampled, where
+    ``draft`` is ``(event, label, -label)``: the event as one part and the
+    label's atom pair, built once per label.
 
     Only labels the event does not use: inserting a pair whose label is
     already resident would cancel the resident atom too (set semantics), so
     the invariance claim applies to fresh labels only.
     """
-    space = facts.space
-    labels = space.ground.labels
+    labels = facts.space.ground.labels
+    pairs = {label: (Atom(label), Atom(label, False)) for label in labels}
     if facts.trials is None:
-        for event in space.f:
+        for event in facts.space.f:
             used = event.positive_labels | event.negative_labels
             for label in labels:
                 if label not in used:
-                    yield event, label
+                    yield event, label, (event, *pairs[label])
         return
-    rng = Random(facts.seed ^ 0x5EED)
-    events = tuple(space.f)
-    for _ in range(facts.trials):
-        event = events[rng.randrange(len(events))]
+    for rng, event in _sampled_members(facts, 0x5EED):
         used = event.positive_labels | event.negative_labels
         fresh = [label for label in labels if label not in used]
         if fresh:
-            yield event, fresh[rng.randrange(len(fresh))]
+            label = fresh[rng.randrange(len(fresh))]
+            yield event, label, (event, *pairs[label])
 
 
 def _check_ep6(facts: _Facts) -> CheckEntry:
     note = facts.sampled_note
-    for event, label in _annihilation_insertions(facts):
-        draft = tuple(event) + (Atom(label), Atom(label, False))
+    for event, label, draft in _annihilation_insertions(facts):
         if normalize(draft) != event:
             return CheckEntry("EP6", False, _cx(event=event, label=label), note=note)
     return CheckEntry("EP6", True, note=note)
@@ -348,8 +365,7 @@ def _check_ep6(facts: _Facts) -> CheckEntry:
 
 def _check_ep7(facts: _Facts) -> CheckEntry:
     space, pmap, note = facts.space, facts.pmap, facts.sampled_note
-    for event, label in _annihilation_insertions(facts):
-        draft = tuple(event) + (Atom(label), Atom(label, False))
+    for event, label, draft in _annihilation_insertions(facts):
         value = space.draft_probability(draft)
         if value != pmap[event]:
             return CheckEntry(
@@ -361,14 +377,19 @@ def _check_ep7(facts: _Facts) -> CheckEntry:
 def _check_ep8(facts: _Facts) -> CheckEntry:
     pmap = facts.pmap
     for member in facts.space.fplus:
-        if pmap[member] < 0:
-            return CheckEntry("EP8", False, _cx(event=member, value=pmap[member]))
+        value = pmap.get(member)
+        if value is None:
+            return _not_measurable("EP8", member)
+        if value < 0:
+            return CheckEntry("EP8", False, _cx(event=member, value=value))
     return CheckEntry("EP8", True)
 
 
 def _check_ep9(facts: _Facts) -> CheckEntry:
     note = "finitely vacuous: every strictly decreasing event chain is finite"
-    value = facts.pmap[Event()]
+    value = facts.pmap.get(Event())
+    if value is None:
+        return _not_measurable("EP9", Event(), note)
     if value != 0:
         return CheckEntry("EP9", False, _cx(event=Event(), value=value), note=note)
     return CheckEntry("EP9", True, note=note)
@@ -379,11 +400,13 @@ def _check_ep10(facts: _Facts) -> CheckEntry:
     if facts.trials is None:
         probes = facts.space.f
     else:
-        rng = Random(facts.seed ^ 0xDEC0)
-        events = tuple(facts.space.f)
-        probes = [events[rng.randrange(len(events))] for _ in range(facts.trials)]
+        probes = [event for _, event in _sampled_members(facts, 0xDEC0)]
     for event in probes:
         pos, neg = event.split()
+        if pos not in pmap or neg not in pmap:
+            return CheckEntry(
+                "EP10", False, _cx(event=event, reason="part not measurable"), note=note
+            )
         total = pmap[pos] + pmap[neg]
         if total != pmap[event]:
             return CheckEntry("EP10", False, _cx(event=event, lhs=total, rhs=pmap[event]), note=note)
@@ -421,11 +444,11 @@ class _Facts:
 
     @cached_property
     def packed(self) -> _PackedFamily:
-        return _PackedFamily(self.space, self.space.f, self.pmap)
+        return _PackedFamily(self.space, self.space.f)
 
     @cached_property
     def packed_plus(self) -> _PackedFamily:
-        return _PackedFamily(self.space, self.space.fplus, self.pmap)
+        return _PackedFamily(self.space, self.space.fplus)
 
     @cached_property
     def mirror(self) -> Family:
@@ -831,17 +854,31 @@ def _suite_p5(facts):
     return CheckEntry("P5", True)
 
 
+def _weight_sum(space: ExtendedSpace, event: Event) -> Fraction:
+    """``P(event)`` summed from the weights as ``Fraction``s, bypassing the
+    space's integer memo; a pinned event gives its pin."""
+    pinned = space.overrides.get(event)
+    if pinned is not None:
+        return pinned
+    w = space.weights
+    return sum((w[l] for l in event.positive_labels), Fraction(0)) - sum(
+        (w[l] for l in event.negative_labels), Fraction(0)
+    )
+
+
 @_suite("P6", "P of an annihilating union equals P of the plain-union draft")
 def _suite_p6(facts):
-    # Stays on events: it compares the draft path (normalize, then measure)
-    # with the union path, and on packed ints both are the same int operation.
+    # Stays on events and on Fraction sums: it compares the union path (the
+    # space's integer measure) with the draft path, where the plain-union
+    # draft is normalized and summed from the weights without the memo.  On
+    # packed ints, or through the memo, both paths would be one operation.
     space, pmap = facts.space, facts.pmap
     for x in space.f:
         for y in space.f:
             joined = x + y
             if joined not in pmap:
                 return CheckEntry("P6", False, _cx(X=x, Y=y, reason="union not measurable"))
-            draft_value = space.draft_probability(tuple(x) + tuple(y))
+            draft_value = _weight_sum(space, normalize(tuple(x) + tuple(y)))
             if pmap[joined] != draft_value:
                 return CheckEntry("P6", False, _cx(X=x, Y=y, lhs=pmap[joined], rhs=draft_value))
     return CheckEntry("P6", True)
@@ -873,7 +910,10 @@ def _suite_p8(facts):
 def _suite_p9(facts):
     space = facts.space
     draft = tuple(space.omega_plus) + tuple(space.omega_minus)
-    value = space.draft_probability(draft)
+    try:
+        value = space.draft_probability(draft)
+    except EventNotMeasurableError:
+        return _not_measurable("P9", normalize(draft))
     if value != 0:
         return CheckEntry("P9", False, _cx(value=value))
     return CheckEntry("P9", True, note="everything plus anti-everything annihilates")
@@ -954,6 +994,8 @@ def _suite_t3(facts):
     pmap = facts.pmap
     for event in facts.space.f:
         pos, neg = event.split()
+        if pos not in pmap or neg not in pmap or -neg not in pmap:
+            return CheckEntry("T3", False, _cx(event=event, reason="part not measurable"))
         by_sum = pmap[pos] + pmap[neg]
         by_diff = pmap[pos] - pmap[-neg]
         if pmap[event] != by_sum or pmap[event] != by_diff:
@@ -987,6 +1029,10 @@ def _suite_t4a(facts):
 def _suite_t4b(facts):
     pmap = facts.pmap
     positives = tuple(facts.space.fplus)
+    # The composed family holds every positive member, and then every mirror
+    # member, exactly when the positive family holds the empty event.
+    if positives and positives[0] not in pmap:
+        return _not_measurable("T4b", positives[0])
     for a in positives:
         for b in positives:
             if a.issubset(b) and pmap[a] > pmap[b]:

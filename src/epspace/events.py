@@ -4,8 +4,8 @@ An event is a finite set of signed atoms: outcomes such as ``a`` and their
 anti-outcomes such as ``-a``.  A well-formed :class:`Event` never carries both
 signs of one label; bringing ``a`` and ``-a`` together annihilates both.
 Raw collections that may still contain duplicates or annihilating pairs are
-*drafts* (any iterable of atoms, or the ``a,-b`` text form); :func:`normalize`
-collapses a draft to the event it denotes.
+*drafts* (any iterable of atoms and whole events, or the ``a,-b`` text form);
+:func:`normalize` collapses a draft to the event it denotes.
 
 Two equality notions follow:
 
@@ -241,9 +241,10 @@ class Event:
 
 EMPTY_EVENT = Event()
 
-# A draft: any atom collection that may still contain duplicates or
-# annihilating pairs.  Events and text forms are accepted wherever a draft is.
-Draft = Iterable[Atom]
+# A draft: any collection of atoms and whole events that may still contain
+# duplicates or annihilating pairs; an event part stands for all its atoms.
+# Events and text forms are accepted wherever a draft is.
+Draft = Iterable["Atom | Event"]
 
 
 def _label_sets(source: "Event | Draft | str") -> tuple[frozenset, frozenset]:
@@ -253,16 +254,23 @@ def _label_sets(source: "Event | Draft | str") -> tuple[frozenset, frozenset]:
         source = parse_draft(source)
     pos: set[str] = set()
     neg: set[str] = set()
-    for atom in source:
-        (pos if atom.positive else neg).add(atom.label)
+    for part in source:
+        if isinstance(part, Event):
+            pos |= part._pos
+            neg |= part._neg
+        else:
+            (pos if part.positive else neg).add(part.label)
     return frozenset(pos), frozenset(neg)
 
 
 def normalize(draft: "Event | Draft | str") -> Event:
     """Collapse a draft to the event it denotes.
 
-    Duplicates collapse to set membership first; then every label present
-    with both signs loses *both* occurrences.  Idempotent.
+    The parts of a draft are atoms or whole events, whose atoms are pooled:
+    ``normalize((x, Atom("a"), Atom("a", False)))`` denotes the same event as
+    ``normalize(tuple(x) + (Atom("a"), Atom("a", False)))``.  Duplicates
+    collapse to set membership first; then every label present with both
+    signs loses *both* occurrences.  Idempotent.
     """
     pos, neg = _label_sets(draft)
     clash = pos & neg

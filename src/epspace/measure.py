@@ -7,8 +7,12 @@ range over [-1, 1] and the negative half-space genuinely carries negative
 probability (the full negative event has probability -1, while the positive
 family restricts to an ordinary probability measure).
 
-Everything is ``fractions.Fraction``; there is no floating point in this
-module, and every identity the validator checks holds exactly or not at all.
+The arithmetic is exact integers: a space keeps one common denominator, the
+lcm of its weights' and overrides' denominators, and a memo from member to
+integer numerator over it, filled on demand.  ``probability`` returns the
+``Fraction`` ``numerator / denominator``, so ``Fraction``s appear only at the
+API and in reports.  There is no floating point in this module, and every
+identity the validator checks holds exactly or not at all.
 
 ``with_override`` pins chosen events to arbitrary values.  It exists only so
 the axiom validator in :mod:`epspace.checks` can demonstrate failures on
@@ -17,6 +21,7 @@ purpose; overridden spaces are deliberately allowed to be inconsistent.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -94,6 +99,13 @@ class ExtendedSpace:
     Construct through :func:`make_space`, which validates every invariant and
     derives the composed family.  Immutable, ``weights`` and ``overrides``
     included (read-only mappings); safe to share between threads.
+
+    The measure is kept as integers outside the dataclass fields, so equality
+    and :meth:`with_override` never see it: ``_denominator`` is the lcm of
+    the weights' and overrides' denominators, ``_weight_numerators`` maps
+    each label to its weight over it, and ``_numerators`` memoizes each
+    member's value over it (pinned values from the start, weight sums as
+    they are first read).
     """
 
     ground: GroundSet
@@ -101,6 +113,21 @@ class ExtendedSpace:
     fplus: Family
     f: Family
     overrides: Mapping[Event, Fraction] = field(default_factory=lambda: MappingProxyType({}))
+
+    def __post_init__(self) -> None:
+        values = (*self.weights.values(), *self.overrides.values())
+        denominator = math.lcm(*(value.denominator for value in values))
+
+        def scaled(value: Fraction) -> int:
+            return value.numerator * (denominator // value.denominator)
+
+        object.__setattr__(self, "_denominator", denominator)
+        object.__setattr__(
+            self, "_weight_numerators", {label: scaled(w) for label, w in self.weights.items()}
+        )
+        object.__setattr__(
+            self, "_numerators", {event: scaled(v) for event, v in self.overrides.items()}
+        )
 
     @property
     def omega_plus(self) -> Event:
@@ -120,14 +147,18 @@ class ExtendedSpace:
             raise EventNotMeasurableError(
                 f"event {event.text()!r} is not in the measurable family"
             )
-        if self.overrides:
-            pinned = self.overrides.get(event)
-            if pinned is not None:
-                return pinned
-        w = self.weights
-        return sum((w[l] for l in event.positive_labels), Fraction(0)) - sum(
-            (w[l] for l in event.negative_labels), Fraction(0)
-        )
+        return Fraction(self._numerator(event), self._denominator)
+
+    def _numerator(self, event: Event) -> int:
+        """``P(event)`` times ``_denominator``; ``event`` must be a member."""
+        memo = self._numerators
+        value = memo.get(event)
+        if value is None:
+            w = self._weight_numerators
+            value = memo[event] = sum([w[l] for l in event.positive_labels]) - sum(
+                [w[l] for l in event.negative_labels]
+            )
+        return value
 
     def draft_probability(self, draft: "Event | Draft | str") -> Fraction:
         """Probability of a draft: annihilate first, then evaluate.

@@ -152,6 +152,65 @@ def test_bad_normalization_detected_when_unchecked():
     assert not report.entry("EP3").passed
 
 
+# A positive family without the empty event composes to a family with no
+# positive member at all: here only {a,-b; -a,b}.
+def _space_without_empty_event():
+    return make_space(
+        ("a", "b", "c"), {"a": "1/2", "b": "1/4", "c": "1/4"},
+        [Event("a"), Event("b"), Event("a,b,c")], check=False,
+    )
+
+
+UNMEASURABLE_SPACES = {
+    "no-empty-event": _space_without_empty_event,
+    "no-full-event": lambda: make_space(
+        ("a", "b"), {"a": "1/2", "b": "1/2"}, [Event(), Event("a")], check=False
+    ),
+    # {a} has no disjoint partner, so the composed family is empty.
+    "empty-composition": lambda: make_space(
+        ("a", "b"), {"a": "1/2", "b": "1/2"}, [Event("a")], check=False
+    ),
+}
+
+
+def test_unmeasurable_full_and_empty_events_are_report_failures():
+    space = _space_without_empty_event()
+    report = validate_axioms(space)
+    assert report.entry("EP3").line() == "EP3 FAIL event=a,b,c reason=not measurable"
+    assert report.entry("EP5p").line() == "EP5p FAIL event=a reason=not measurable"
+    assert report.entry("EP8").line() == "EP8 FAIL event=a reason=not measurable"
+    assert report.entry("EP9").line().startswith("EP9 FAIL event={} reason=not measurable (")
+    assert report.entry("EP10").line() == "EP10 FAIL event=a,-b reason=part not measurable"
+    assert check_kolmogorov_restriction(space).lines() == [
+        "K1 FAIL event=a reason=not measurable",
+        "K2 FAIL event=a,b,c reason=not measurable",
+        "K3 FAIL event=a reason=not measurable",
+    ]
+    suite = run_theorem_suite(space)
+    assert suite.entry("L10").line() == "L10 FAIL reason=not measurable"
+    assert suite.entry("T5").line().startswith("T5 FAIL reason=not measurable (")
+    assert suite.entry("T7").line() == "T7 FAIL event=a reason=not measurable (K1 failed)"
+    assert suite.entry("P9").line() == "P9 FAIL event={} reason=not measurable"
+
+
+@pytest.mark.parametrize("name", sorted(UNMEASURABLE_SPACES))
+def test_spaces_without_full_or_empty_event_report_every_check(name):
+    space = UNMEASURABLE_SPACES[name]()
+    reports = [
+        validate_axioms(space),
+        validate_axioms(space, trials=30, seed=5),
+        check_kolmogorov_restriction(space),
+        run_theorem_suite(space),
+    ]
+    for report in reports:
+        assert not report.ok
+        assert all(entry.counterexample for entry in report.failures())
+    assert not reports[0].entry("EP3").passed
+    suite = reports[-1]
+    for check_id in suite_ids():
+        assert run_theorem_suite(space, [check_id]).entries == (suite.entry(check_id),)
+
+
 # --- classical restriction ---------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -21,7 +22,7 @@ from epspace import (
     plain_union,
 )
 
-from conftest import drafts, events, positive_events
+from conftest import LABELS, atoms, drafts, events, positive_events
 
 
 def formula_union(x: Event, y: Event) -> frozenset:
@@ -109,6 +110,18 @@ def test_normalize_matches_sign_census_oracle(draft):
 def test_normalize_is_idempotent(draft):
     once = normalize(draft)
     assert normalize(once) == once
+
+
+@given(events, st.sampled_from(LABELS))
+def test_event_parts_pool_their_atoms(event, label):
+    pair = (Atom(label), Atom(label, False))
+    assert normalize((event, *pair)) == normalize(tuple(event) + pair)
+
+
+@given(st.lists(st.one_of(atoms, events), max_size=6))
+def test_drafts_with_event_parts_match_their_atoms(parts):
+    flat = [atom for part in parts for atom in (part if isinstance(part, Event) else (part,))]
+    assert normalize(parts) == signs_oracle(flat)
 
 
 # --- annihilating union -----------------------------------------------------

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from epspace import (
     AlgebraError,
@@ -16,12 +17,18 @@ from epspace import (
     NonNegativityError,
     NormalizationError,
     SchemaError,
+    check_kolmogorov_restriction,
     make_space,
     positive_family_is_field,
     powerset_family,
+    run_theorem_suite,
+    validate_axioms,
 )
+from epspace.checks import _Facts
+from epspace.events import Atom
 
-from conftest import spaces
+from conftest import LABELS, spaces
+from test_kernel import damaged_spaces, subsets
 
 
 @pytest.fixture
@@ -167,6 +174,102 @@ def test_restriction_is_monotone(space):
         for b in members:
             if a.issubset(b):
                 assert space.probability(a) <= space.probability(b)
+
+
+# --- the integer measure against a Fraction reference ----------------------
+
+
+def reference_probability(space, event):
+    """``P(event)`` as the weight model defines it, summed in ``Fraction``s:
+    a pinned event gives its pin."""
+    pinned = space.overrides.get(event)
+    if pinned is not None:
+        return pinned
+    w = space.weights
+    return sum((w[l] for l in event.positive_labels), Fraction(0)) - sum(
+        (w[l] for l in event.negative_labels), Fraction(0)
+    )
+
+
+@st.composite
+def measured_spaces(draw):
+    """Checked spaces of 1-4 atoms (powersets and generated fields, already
+    with 0-2 pins), or unchecked ones whose weights may be negative or sum to
+    anything, over any positive family holding the empty event; then 0-2
+    more pins to arbitrary values."""
+    if draw(st.booleans()):
+        space = draw(damaged_spaces(max_atoms=4))
+    else:
+        labels = LABELS[: draw(st.integers(1, 4))]
+        weights = {
+            label: Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 7))) for label in labels
+        }
+        members = draw(st.sets(st.sampled_from(subsets(labels)))) | {Event()}
+        space = make_space(labels, weights, members, check=False)
+    ordered = tuple(space.f)
+    for _ in range(draw(st.integers(0, 2))):
+        event = ordered[draw(st.integers(0, len(ordered) - 1))]
+        space = space.with_override(event, Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9))))
+    return space
+
+
+@settings(max_examples=150)
+@given(measured_spaces(), st.randoms(use_true_random=False))
+def test_integer_measure_matches_fraction_reference(space, rng):
+    # Fill the memo in a random order, partly through drafts with event parts,
+    # duplicates and annihilating pairs on fresh labels.
+    order = list(space.f)
+    rng.shuffle(order)
+    for event in order:
+        used = event.positive_labels | event.negative_labels
+        fresh = [label for label in space.ground.labels if label not in used]
+        if fresh and rng.random() < 0.5:
+            label = rng.choice(fresh)
+            draft = [event, Atom(label), Atom(label, False), *event][: rng.randint(3, 3 + len(event))]
+            assert space.draft_probability(draft) == reference_probability(space, event)
+        assert space.probability(event) == reference_probability(space, event)
+    for event in space.f:
+        assert space.probability(event) == reference_probability(space, event)
+    facts = _Facts(space)
+    for packed in (facts.packed, facts.packed_plus):
+        ratios = [Fraction(n, space._denominator) for n in packed.numerators]
+        assert ratios == [reference_probability(space, event) for event in packed.events]
+
+
+def test_override_of_a_filled_memo_pins_only_the_new_space():
+    space = make_space(("a", "b", "c"), {"a": "1/2", "b": "3/10", "c": "1/5"})
+    before = {event: space.probability(event) for event in space.f}
+    pinned = space.with_override(Event("a,-b"), "7/3")
+    assert pinned.probability(Event("a,-b")) == Fraction(7, 3)
+    assert pinned.draft_probability("a,-b,c,-c") == Fraction(7, 3)
+    again = pinned.with_override(Event("-c"), 4)
+    assert again.probability(Event("-c")) == 4
+    assert again.probability(Event("a,-b")) == Fraction(7, 3)
+    assert {event: space.probability(event) for event in space.f} == before
+    for event in space.f:
+        if event != Event("a,-b"):
+            assert pinned.probability(event) == before[event]
+
+
+class _RecordingDict(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+def test_each_numerator_is_computed_once_per_space():
+    space = make_space(("a", "b", "c"), {"a": "1/2", "b": "1/4", "c": "1/4"})
+    memo = _RecordingDict()
+    object.__setattr__(space, "_numerators", memo)
+    validate_axioms(space)
+    validate_axioms(space, trials=50, seed=1)
+    check_kolmogorov_restriction(space)
+    run_theorem_suite(space)
+    assert sorted(memo.stored, key=str) == sorted(space.f, key=str)
 
 
 # --- complement -------------------------------------------------------------
