@@ -21,6 +21,15 @@ Each producer builds one :class:`_Facts` per call, the only argument of
 every check: what the checks share about the space, each part computed at
 most once per report and only when a selected check reads it.
 
+The axioms and K1-K3 compare the space's integer numerators over its one
+common denominator and build a ``Fraction`` only for a counterexample; the
+classical restriction reads the positive family's numerators alone.  EP6
+and EP7 share one normalization pass over the annihilation probes, and EP7
+evaluates only the probes whose draft does not normalize back to the event:
+a draft's probability is that of its normal form, so every other probe
+passes by definition.  The probability map is built only for the suite's
+measure identities.
+
 Failures are report entries, never exceptions.  Enumeration follows the
 canonical event order and stops at the first violation, so a reported
 counterexample is the least one in that order and reports are byte-stable
@@ -179,7 +188,7 @@ def _picker(indices):
     return itemgetter(*indices) if indices else lambda row: ()
 
 
-def _additivity(check_id: str, family: _PackedFamily, pmap: dict) -> CheckEntry:
+def _additivity(check_id: str, family: _PackedFamily, facts: _Facts) -> CheckEntry:
     """P(A) + P(B) == P(A | B) over every disjoint pair with union in the family.
 
     Every such pair partitions its union, so enumerating the ordered two-part
@@ -210,11 +219,8 @@ def _additivity(check_id: str, family: _PackedFamily, pmap: dict) -> CheckEntry:
             y = get(union_mask ^ a_mask)
             if y is not None and x + y != target:
                 a, b = codec.decode(a_mask), codec.decode(union_mask ^ a_mask)
-                return CheckEntry(
-                    check_id,
-                    False,
-                    _cx(A=a, B=b, union=union_event, lhs=pmap[a] + pmap[b], rhs=pmap[union_event]),
-                )
+                lhs, rhs = facts.fraction(x + y), facts.fraction(target)
+                return CheckEntry(check_id, False, _cx(A=a, B=b, union=union_event, lhs=lhs, rhs=rhs))
     return CheckEntry(check_id, True)
 
 
@@ -267,12 +273,15 @@ def _check_ep2(facts: _Facts) -> CheckEntry:
 
 
 def _check_ep3(facts: _Facts) -> CheckEntry:
-    omega_plus = facts.space.omega_plus
-    value = facts.pmap.get(omega_plus)
-    if value is None:
+    space = facts.space
+    omega_plus = space.omega_plus
+    if omega_plus not in space.f:
         return _not_measurable("EP3", omega_plus)
-    if value != 1:
-        return CheckEntry("EP3", False, _cx(event=omega_plus, value=value, expected=1))
+    value = space._numerator(omega_plus)
+    if value != space._denominator:
+        return CheckEntry(
+            "EP3", False, _cx(event=omega_plus, value=facts.fraction(value), expected=1)
+        )
     return CheckEntry("EP3", True)
 
 
@@ -300,8 +309,8 @@ def _check_ep4(facts: _Facts) -> CheckEntry:
 
 def _check_ep5(facts: _Facts) -> CheckEntry:
     if facts.trials is None:
-        return _additivity("EP5", facts.packed, facts.pmap)
-    pmap, note = facts.pmap, facts.sampled_note
+        return _additivity("EP5", facts.packed, facts)
+    note, numerator = facts.sampled_note, facts.space._numerator
     universe = facts.space.f.events
     for rng, union_event in _sampled_members(facts, 0):
         atoms = tuple(union_event)
@@ -310,13 +319,11 @@ def _check_ep5(facts: _Facts) -> CheckEntry:
         b_atoms = [atom for i, atom in enumerate(atoms) if not mask >> i & 1]
         a, b = Event(a_atoms), Event(b_atoms)
         if a in universe and b in universe:
-            total = pmap[a] + pmap[b]
-            if total != pmap[union_event]:
+            total, target = numerator(a) + numerator(b), numerator(union_event)
+            if total != target:
+                lhs, rhs = facts.fraction(total), facts.fraction(target)
                 return CheckEntry(
-                    "EP5",
-                    False,
-                    _cx(A=a, B=b, union=union_event, lhs=total, rhs=pmap[union_event]),
-                    note=note,
+                    "EP5", False, _cx(A=a, B=b, union=union_event, lhs=lhs, rhs=rhs), note=note
                 )
     return CheckEntry("EP5", True, note=note)
 
@@ -326,7 +333,7 @@ def _check_ep5p(facts: _Facts) -> CheckEntry:
     for member in facts.space.fplus:
         if member not in f:
             return _not_measurable("EP5p", member)
-    return _additivity("EP5p", facts.packed_plus, facts.pmap)
+    return _additivity("EP5p", facts.packed_plus, facts)
 
 
 def _annihilation_insertions(facts: _Facts):
@@ -357,59 +364,78 @@ def _annihilation_insertions(facts: _Facts):
 
 def _check_ep6(facts: _Facts) -> CheckEntry:
     note = facts.sampled_note
-    for event, label, draft in _annihilation_insertions(facts):
-        if normalize(draft) != event:
-            return CheckEntry("EP6", False, _cx(event=event, label=label), note=note)
+    if facts.moved_probes:
+        event, label, _ = facts.moved_probes[0]
+        return CheckEntry("EP6", False, _cx(event=event, label=label), note=note)
     return CheckEntry("EP6", True, note=note)
 
 
 def _check_ep7(facts: _Facts) -> CheckEntry:
-    space, pmap, note = facts.space, facts.pmap, facts.sampled_note
-    for event, label, draft in _annihilation_insertions(facts):
-        value = space.draft_probability(draft)
-        if value != pmap[event]:
+    """P(draft) == P(event) for every annihilation probe.
+
+    A draft's probability is the probability of its normal form, so a probe
+    that normalizes back to its event passes by definition: only the probes
+    EP6 flags are evaluated, in probe order, which finds the same first
+    failure as evaluating every probe.
+    """
+    space, note = facts.space, facts.sampled_note
+    numerator = space._numerator
+    for event, label, normal in facts.moved_probes:
+        if normal not in space.f:
             return CheckEntry(
-                "EP7", False, _cx(event=event, label=label, lhs=value, rhs=pmap[event]), note=note
+                "EP7",
+                False,
+                _cx(event=event, label=label, normalized=normal, reason="not measurable"),
+                note=note,
+            )
+        value, expected = numerator(normal), numerator(event)
+        if value != expected:
+            lhs, rhs = facts.fraction(value), facts.fraction(expected)
+            return CheckEntry(
+                "EP7", False, _cx(event=event, label=label, lhs=lhs, rhs=rhs), note=note
             )
     return CheckEntry("EP7", True, note=note)
 
 
 def _check_ep8(facts: _Facts) -> CheckEntry:
-    pmap = facts.pmap
+    f, numerator = facts.space.f, facts.space._numerator
     for member in facts.space.fplus:
-        value = pmap.get(member)
-        if value is None:
+        if member not in f:
             return _not_measurable("EP8", member)
+        value = numerator(member)
         if value < 0:
-            return CheckEntry("EP8", False, _cx(event=member, value=value))
+            return CheckEntry("EP8", False, _cx(event=member, value=facts.fraction(value)))
     return CheckEntry("EP8", True)
 
 
 def _check_ep9(facts: _Facts) -> CheckEntry:
     note = "finitely vacuous: every strictly decreasing event chain is finite"
-    value = facts.pmap.get(Event())
-    if value is None:
-        return _not_measurable("EP9", Event(), note)
+    space, empty = facts.space, Event()
+    if empty not in space.f:
+        return _not_measurable("EP9", empty, note)
+    value = space._numerator(empty)
     if value != 0:
-        return CheckEntry("EP9", False, _cx(event=Event(), value=value), note=note)
+        return CheckEntry("EP9", False, _cx(event=empty, value=facts.fraction(value)), note=note)
     return CheckEntry("EP9", True, note=note)
 
 
 def _check_ep10(facts: _Facts) -> CheckEntry:
-    pmap, note = facts.pmap, facts.sampled_note
+    note, f, numerator = facts.sampled_note, facts.space.f, facts.space._numerator
     if facts.trials is None:
-        probes = facts.space.f
+        probes = f
     else:
         probes = [event for _, event in _sampled_members(facts, 0xDEC0)]
+    members = f.events
     for event in probes:
         pos, neg = event.split()
-        if pos not in pmap or neg not in pmap:
+        if pos not in members or neg not in members:
             return CheckEntry(
                 "EP10", False, _cx(event=event, reason="part not measurable"), note=note
             )
-        total = pmap[pos] + pmap[neg]
-        if total != pmap[event]:
-            return CheckEntry("EP10", False, _cx(event=event, lhs=total, rhs=pmap[event]), note=note)
+        total, value = numerator(pos) + numerator(neg), numerator(event)
+        if total != value:
+            lhs, rhs = facts.fraction(total), facts.fraction(value)
+            return CheckEntry("EP10", False, _cx(event=event, lhs=lhs, rhs=rhs), note=note)
     return CheckEntry("EP10", True, note=note)
 
 
@@ -421,13 +447,17 @@ def _check_ep10(facts: _Facts) -> CheckEntry:
 class _Facts:
     """What the checks of one report read about its space.
 
-    The probability map, the packed full and positive families, the mirror
-    family, the positive family's algebra and field verdicts, and the
-    EP3/EP5/EP5p/EP8/EP9/EP10 entries, which K1-K3, L10 and T5-T7 read too.
-    Each is computed on first read and kept for the rest of the report.
-    ``trials`` and ``seed`` select sampled probes for EP5, EP6, EP7 and
-    EP10; the classical restriction and the suite never sample, so the
-    entries they read are exhaustive.
+    The packed full and positive families, the annihilation probes whose
+    drafts move (EP6 and EP7), the mirror family, the positive family's
+    algebra and field verdicts, the EP3/EP5/EP5p/EP8/EP9/EP10 entries, which
+    K1-K3, L10 and T5-T7 read too, and, for the suite's measure identities,
+    the probability map.  Each is computed on first read and kept for the
+    rest of the report.  The axioms and K1-K3 compare the space's integer
+    numerators and never read the probability map; :meth:`fraction` turns a
+    numerator into the ``Fraction`` a counterexample shows.  ``trials`` and
+    ``seed`` select sampled probes for EP5, EP6, EP7 and EP10; the classical
+    restriction and the suite never sample, so the entries they read are
+    exhaustive.
     """
 
     def __init__(self, space: ExtendedSpace, trials: "int | None" = None, seed: int = 0):
@@ -436,11 +466,27 @@ class _Facts:
         self.seed = seed
         self.sampled_note = "" if trials is None else f"sampled trials={trials} seed={seed}"
 
+    def fraction(self, numerator: int) -> Fraction:
+        """``numerator`` over the space's common denominator."""
+        return Fraction(numerator, self.space._denominator)
+
     @cached_property
     def pmap(self) -> dict:
         """The probability of every member of the measurable family."""
         space = self.space
         return {event: space.probability(event) for event in space.f}
+
+    @cached_property
+    def moved_probes(self) -> list:
+        """``(event, label, normal form)`` of every annihilation probe, in
+        probe order, whose draft does not normalize back to its event; each
+        draft is normalized once, for EP6 and EP7 together."""
+        moved = []
+        for event, label, draft in _annihilation_insertions(self):
+            normal = normalize(draft)
+            if normal != event:
+                moved.append((event, label, normal))
+        return moved
 
     @cached_property
     def packed(self) -> _PackedFamily:
@@ -566,8 +612,10 @@ def _suite_c4(facts):
     shared = facts.space.fplus.events & facts.mirror.events
     if shared != {Event()}:
         culprit = sorted(shared - {Event()}, key=lambda e: e.text())
-        extra = culprit[0] if culprit else Event()
-        return CheckEntry("C4", False, _cx(shared=extra))
+        if not culprit:
+            # A positive family built unchecked without the empty event.
+            return CheckEntry("C4", False, _cx(missing=Event()))
+        return CheckEntry("C4", False, _cx(shared=culprit[0]))
     return CheckEntry("C4", True, note="only shared member is the empty event")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -9,8 +10,11 @@ from hypothesis import settings
 
 from epspace import Atom, make_space, normalize
 
+# HYPOTHESIS_PROFILE=ci (set in CI) runs every property test on a fixed
+# example stream and prints the reproduction blob of a failing example.
 settings.register_profile("default", deadline=None)
-settings.load_profile("default")
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 LABELS = ("a", "b", "c", "d")
 

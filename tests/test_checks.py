@@ -193,6 +193,13 @@ def test_unmeasurable_full_and_empty_events_are_report_failures():
     assert suite.entry("P9").line() == "P9 FAIL event={} reason=not measurable"
 
 
+def test_c4_reports_the_empty_event_missing_not_shared():
+    # Without the empty event the positive and mirror families share nothing.
+    entry = run_theorem_suite(_space_without_empty_event(), ["C4"]).entry("C4")
+    assert entry.line() == "C4 FAIL missing={}"
+    assert entry.as_json()["counterexample"] == {"missing": "{}"}
+
+
 @pytest.mark.parametrize("name", sorted(UNMEASURABLE_SPACES))
 def test_spaces_without_full_or_empty_event_report_every_check(name):
     space = UNMEASURABLE_SPACES[name]()

@@ -9,6 +9,12 @@ checks did before they shared anything; every entry must agree byte for
 byte.  The spaces are chosen to make them fail: unchecked spaces with
 negative weights, bad normalization or a non-algebra positive family,
 seeded spaces with 0-2 pins, and generated fields.
+
+The axioms EP3, EP5, EP5p, EP6, EP7, EP8, EP9 and EP10 compare the space's
+integer numerators and share one normalization pass between EP6 and EP7;
+their references below read the ``Fraction`` probability map and evaluate
+every annihilation draft, exhaustive and sampled, also under a
+``normalize`` that leaves one label's pair standing.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 
 from epspace import (
+    Atom,
     Event,
     ExtendedSpace,
     compose_family,
@@ -32,9 +39,11 @@ from epspace import (
     run_theorem_suite,
     validate_axioms,
 )
-from epspace import checks
-from epspace.checks import CheckEntry, ValidationReport, _cx
+from epspace import checks, measure
+from epspace.checks import CheckEntry, ValidationReport, _cx, _Facts, _PackedFamily
+from epspace.errors import EventNotMeasurableError
 
+from test_checks import UNMEASURABLE_SPACES
 from test_kernel import damaged_spaces, reference_additivity, reference_t2, subsets
 
 # --- stand-alone reference ----------------------------------------------------
@@ -102,8 +111,9 @@ def reference_c4(space, pmap):
     shared = space.fplus.events & mirror.events
     if shared != {Event()}:
         culprit = sorted(shared - {Event()}, key=lambda e: e.text())
-        extra = culprit[0] if culprit else Event()
-        return CheckEntry("C4", False, _cx(shared=extra))
+        if not culprit:
+            return CheckEntry("C4", False, _cx(missing=Event()))
+        return CheckEntry("C4", False, _cx(shared=culprit[0]))
     return CheckEntry("C4", True, note="only shared member is the empty event")
 
 
@@ -199,6 +209,173 @@ def reference_t7(space, pmap):
 
 
 REFERENCE_AXIOMS = {"EP2": reference_ep2, "EP4": reference_ep4}
+
+
+# --- axioms on the probability map ----------------------------------------------
+#
+# Each takes ``(facts, pmap)``: ``facts`` only supplies the probe streams
+# (exhaustive, or sampled with its trials and seed), ``pmap`` every value.
+
+
+def reference_packed_additivity(check_id, family, pmap):
+    """The packed split loop with its counterexample read from ``pmap``."""
+    codec = family.codec
+    n = codec.n
+    numerator = dict(zip(family.masks, family.numerators))
+    label_bits = [(1 << i) | (1 << (n + i)) for i in range(n)]
+    for union_mask, union_event in zip(family.masks, family.events):
+        target = numerator[union_mask]
+        subs = [0]
+        for both in label_bits:
+            bit = union_mask & both
+            if bit:
+                subs += [sub | bit for sub in subs]
+        for a_mask in subs:
+            x = numerator.get(a_mask)
+            if x is None:
+                continue
+            y = numerator.get(union_mask ^ a_mask)
+            if y is not None and x + y != target:
+                a, b = codec.decode(a_mask), codec.decode(union_mask ^ a_mask)
+                return CheckEntry(
+                    check_id,
+                    False,
+                    _cx(A=a, B=b, union=union_event, lhs=pmap[a] + pmap[b], rhs=pmap[union_event]),
+                )
+    return CheckEntry(check_id, True)
+
+
+def reference_axiom_ep3(facts, pmap):
+    omega_plus = facts.space.omega_plus
+    value = pmap.get(omega_plus)
+    if value is None:
+        return checks._not_measurable("EP3", omega_plus)
+    if value != 1:
+        return CheckEntry("EP3", False, _cx(event=omega_plus, value=value, expected=1))
+    return CheckEntry("EP3", True)
+
+
+def reference_axiom_ep5(facts, pmap):
+    space = facts.space
+    if facts.trials is None:
+        return reference_packed_additivity("EP5", _PackedFamily(space, space.f), pmap)
+    note = facts.sampled_note
+    universe = space.f.events
+    for rng, union_event in checks._sampled_members(facts, 0):
+        atoms = tuple(union_event)
+        mask = rng.getrandbits(len(atoms)) if atoms else 0
+        a = Event([atom for i, atom in enumerate(atoms) if mask >> i & 1])
+        b = Event([atom for i, atom in enumerate(atoms) if not mask >> i & 1])
+        if a in universe and b in universe:
+            total = pmap[a] + pmap[b]
+            if total != pmap[union_event]:
+                return CheckEntry(
+                    "EP5",
+                    False,
+                    _cx(A=a, B=b, union=union_event, lhs=total, rhs=pmap[union_event]),
+                    note=note,
+                )
+    return CheckEntry("EP5", True, note=note)
+
+
+def reference_axiom_ep5p(facts, pmap):
+    space = facts.space
+    for member in space.fplus:
+        if member not in space.f:
+            return checks._not_measurable("EP5p", member)
+    return reference_packed_additivity("EP5p", _PackedFamily(space, space.fplus), pmap)
+
+
+def reference_axiom_ep6(facts, pmap):
+    note = facts.sampled_note
+    for event, label, draft in checks._annihilation_insertions(facts):
+        if checks.normalize(draft) != event:
+            return CheckEntry("EP6", False, _cx(event=event, label=label), note=note)
+    return CheckEntry("EP6", True, note=note)
+
+
+def reference_axiom_ep7(facts, pmap):
+    space, note = facts.space, facts.sampled_note
+    for event, label, draft in checks._annihilation_insertions(facts):
+        try:
+            value = space.draft_probability(draft)
+        except EventNotMeasurableError:
+            # Raised out of validate_axioms before EP7 reported it.
+            normal = checks.normalize(draft)
+            return CheckEntry(
+                "EP7",
+                False,
+                _cx(event=event, label=label, normalized=normal, reason="not measurable"),
+                note=note,
+            )
+        if value != pmap[event]:
+            return CheckEntry(
+                "EP7", False, _cx(event=event, label=label, lhs=value, rhs=pmap[event]), note=note
+            )
+    return CheckEntry("EP7", True, note=note)
+
+
+def reference_axiom_ep8(facts, pmap):
+    for member in facts.space.fplus:
+        value = pmap.get(member)
+        if value is None:
+            return checks._not_measurable("EP8", member)
+        if value < 0:
+            return CheckEntry("EP8", False, _cx(event=member, value=value))
+    return CheckEntry("EP8", True)
+
+
+def reference_axiom_ep9(facts, pmap):
+    note = "finitely vacuous: every strictly decreasing event chain is finite"
+    value = pmap.get(Event())
+    if value is None:
+        return checks._not_measurable("EP9", Event(), note)
+    if value != 0:
+        return CheckEntry("EP9", False, _cx(event=Event(), value=value), note=note)
+    return CheckEntry("EP9", True, note=note)
+
+
+def reference_axiom_ep10(facts, pmap):
+    note = facts.sampled_note
+    if facts.trials is None:
+        probes = facts.space.f
+    else:
+        probes = [event for _, event in checks._sampled_members(facts, 0xDEC0)]
+    for event in probes:
+        pos, neg = event.split()
+        if pos not in pmap or neg not in pmap:
+            return CheckEntry(
+                "EP10", False, _cx(event=event, reason="part not measurable"), note=note
+            )
+        total = pmap[pos] + pmap[neg]
+        if total != pmap[event]:
+            return CheckEntry("EP10", False, _cx(event=event, lhs=total, rhs=pmap[event]), note=note)
+    return CheckEntry("EP10", True, note=note)
+
+
+REFERENCE_MEASURE_AXIOMS = {
+    "EP3": reference_axiom_ep3,
+    "EP5": reference_axiom_ep5,
+    "EP5p": reference_axiom_ep5p,
+    "EP6": reference_axiom_ep6,
+    "EP7": reference_axiom_ep7,
+    "EP8": reference_axiom_ep8,
+    "EP9": reference_axiom_ep9,
+    "EP10": reference_axiom_ep10,
+}
+SAMPLINGS = ((None, 0), (5, 1), (40, 7))
+
+
+def assert_axioms_match_reference(space):
+    """Every measure axiom, exhaustive and under two samplings."""
+    for trials, seed in SAMPLINGS:
+        report = validate_axioms(space, trials=trials, seed=seed)
+        pmap = reference_pmap(space)
+        facts = _Facts(space, trials, seed)
+        for check_id, reference in REFERENCE_MEASURE_AXIOMS.items():
+            assert report.entry(check_id) == reference(facts, pmap), (check_id, trials)
+
+
 REFERENCE_SUITE = {
     "C4": reference_c4,
     "L10": reference_l10,
@@ -214,6 +391,7 @@ REFERENCE_SUITE = {
 
 
 def assert_matches_reference(space):
+    assert_axioms_match_reference(space)
     pmap = reference_pmap(space)
     axioms = validate_axioms(space)
     for check_id, reference in REFERENCE_AXIOMS.items():
@@ -303,6 +481,76 @@ def test_entries_match_reference_on_unchecked_families(space):
     assert_matches_reference(space)
 
 
+# --- a normalize that leaves one pair standing ----------------------------------
+
+
+def leaky_normalize(label):
+    """``normalize``, except that a draft holding both of ``label``'s atoms
+    keeps the positive one, so the annihilation probes on ``label`` move."""
+    real = checks.normalize
+    pair = {Atom(label), Atom(label, False)}
+
+    def normalize(draft):
+        normal = real(draft)
+        if isinstance(draft, tuple) and pair <= set(draft):
+            return normal + Event(label)
+        return normal
+
+    return normalize
+
+
+def leak(monkeypatch, label):
+    # EP6 and EP7 normalize through checks, draft_probability through measure.
+    broken = leaky_normalize(label)
+    monkeypatch.setattr(checks, "normalize", broken)
+    monkeypatch.setattr(measure, "normalize", broken)
+
+
+@settings(max_examples=40)
+@given(damaged_spaces(max_atoms=4), st.data())
+def test_axioms_match_reference_under_a_leaky_normalize(space, data):
+    label = data.draw(st.sampled_from(space.ground.labels))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        leak(monkeypatch, label)
+        assert_axioms_match_reference(space)
+        assert not validate_axioms(space).entry("EP6").passed
+
+
+@pytest.mark.parametrize("name", sorted(UNCHECKED))
+@pytest.mark.parametrize("label", ["a", "b"])
+def test_unchecked_axioms_match_reference_under_a_leaky_normalize(monkeypatch, name, label):
+    leak(monkeypatch, label)
+    assert_axioms_match_reference(UNCHECKED[name]())
+
+
+@pytest.mark.parametrize("name", sorted(UNMEASURABLE_SPACES))
+@pytest.mark.parametrize("label", [None, "a"])
+def test_axioms_match_reference_without_full_or_empty_event(monkeypatch, name, label):
+    if label is not None:
+        leak(monkeypatch, label)
+    assert_axioms_match_reference(UNMEASURABLE_SPACES[name]())
+
+
+def test_leaky_normalize_fails_ep6_and_ep7_on_the_least_probe(monkeypatch):
+    leak(monkeypatch, "b")
+    report = validate_axioms(make_space(AB, {"a": "1/4", "b": "3/4"}))
+    assert report.entry("EP6").line() == "EP6 FAIL event={} label=b"
+    assert report.entry("EP7").line() == "EP7 FAIL event={} label=b lhs=3/4 rhs=0"
+
+
+def test_ep7_reports_a_normal_form_outside_the_family(monkeypatch):
+    # {a} is not a member of the field generated by {a,b} over a,b,c: the
+    # probe ({}, a) normalizes to it under the leak.
+    fplus = generate_algebra([Event("a,b")], Event("a,b,c"))
+    space = make_space(ABC, {"a": "1/3", "b": "1/3", "c": "1/3"}, fplus)
+    leak(monkeypatch, "a")
+    exhaustive = validate_axioms(space).entry("EP7")
+    assert exhaustive.line() == "EP7 FAIL event={} label=a normalized=a reason=not measurable"
+    sampled = validate_axioms(space, trials=30, seed=2).entry("EP7")
+    assert not sampled.passed
+    assert sampled.counterexample[-1] == ("reason", "not measurable")
+
+
 # --- what a report computes -------------------------------------------------------
 
 
@@ -316,6 +564,29 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("trials", [None, 25])
+def test_axioms_and_restriction_evaluate_no_probability(monkeypatch, trials):
+    fplus = generate_algebra([Event("a,b")], Event("a,b,c,d"))
+    for space in (
+        make_space(ABC, {"a": "1/2", "b": "1/4", "c": "1/4"}),
+        make_space(tuple("abcd"), {label: "1/4" for label in "abcd"}, fplus),
+    ):
+        calls = count_calls(monkeypatch, ExtendedSpace, "probability")
+        assert validate_axioms(space, trials=trials, seed=5).ok
+        assert check_kolmogorov_restriction(space).ok
+        assert calls == []
+
+
+def test_restriction_stores_numerators_for_the_positive_family_only():
+    fplus = generate_algebra([Event("a,b")], Event("a,b,c,d"))
+    for space in (
+        make_space(ABC, {"a": "1/2", "b": "1/4", "c": "1/4"}),
+        make_space(tuple("abcd"), {label: "1/4" for label in "abcd"}, fplus),
+    ):
+        assert check_kolmogorov_restriction(space).ok
+        assert set(space._numerators) == space.fplus.events
 
 
 @pytest.mark.parametrize("check_id", ["C1", "C2", "L1", "L2", "P1", "P2", "P9"])
@@ -332,7 +603,8 @@ def test_restriction_and_continuity_ids_share_one_probability_map(monkeypatch):
     calls = count_calls(monkeypatch, ExtendedSpace, "probability")
     additivity = count_calls(monkeypatch, checks, "_additivity")
     assert run_theorem_suite(space, ["T5", "T6", "T7"]).ok
-    assert len(calls) == len(space.f)
+    # The axiom entries they read compare integer numerators: no probability map.
+    assert len(calls) == 0
     # EP5 for T6, EP5p once for both T6 and T7 (as K3).
     assert [args[0] for args in additivity] == ["EP5p", "EP5"]
 
