@@ -21,14 +21,15 @@ Each producer builds one :class:`_Facts` per call, the only argument of
 every check: what the checks share about the space, each part computed at
 most once per report and only when a selected check reads it.
 
-The axioms and K1-K3 compare the space's integer numerators over its one
-common denominator and build a ``Fraction`` only for a counterexample; the
+The axioms, K1-K3 and the suite's per-member measure identities (C5, P8,
+P10, P11a, P11b) compare the space's integer numerators over its one common
+denominator and build a ``Fraction`` only for a counterexample; the
 classical restriction reads the positive family's numerators alone.  EP6
 and EP7 share one normalization pass over the annihilation probes, and EP7
 evaluates only the probes whose draft does not normalize back to the event:
 a draft's probability is that of its normal form, so every other probe
-passes by definition.  The probability map is built only for the suite's
-measure identities.
+passes by definition.  The ``Fraction`` probability map is built only for
+P6, T3, T4a and T4b.
 
 Failures are report entries, never exceptions.  Enumeration follows the
 canonical event order and stops at the first violation, so a reported
@@ -450,11 +451,12 @@ class _Facts:
     The packed full and positive families, the annihilation probes whose
     drafts move (EP6 and EP7), the mirror family, the positive family's
     algebra and field verdicts, the EP3/EP5/EP5p/EP8/EP9/EP10 entries, which
-    K1-K3, L10 and T5-T7 read too, and, for the suite's measure identities,
-    the probability map.  Each is computed on first read and kept for the
-    rest of the report.  The axioms and K1-K3 compare the space's integer
-    numerators and never read the probability map; :meth:`fraction` turns a
-    numerator into the ``Fraction`` a counterexample shows.  ``trials`` and
+    K1-K3, L10 and T5-T7 read too, and, for P6, T3, T4a and T4b only, the
+    probability map.  Each is computed on first read and kept for the rest
+    of the report.  The axioms, K1-K3 and the suite's C5, P8, P10, P11a and
+    P11b compare the packed family's integer numerators and never read the
+    probability map; :meth:`fraction` turns a numerator into the
+    ``Fraction`` a counterexample shows.  ``trials`` and
     ``seed`` select sampled probes for EP5, EP6, EP7 and EP10; the classical
     restriction and the suite never sample, so the entries they read are
     exhaustive.
@@ -472,7 +474,8 @@ class _Facts:
 
     @cached_property
     def pmap(self) -> dict:
-        """The probability of every member of the measurable family."""
+        """The ``Fraction`` probability of every member of the measurable
+        family; read only by P6, T3, T4a and T4b."""
         space = self.space
         return {event: space.probability(event) for event in space.f}
 
@@ -621,10 +624,10 @@ def _suite_c4(facts):
 
 @_suite("C5", "P(A) <= 1 on the measurable family")
 def _suite_c5(facts):
-    pmap = facts.pmap
-    for event in facts.space.f:
-        if pmap[event] > 1:
-            return CheckEntry("C5", False, _cx(event=event, value=pmap[event]))
+    family, one = facts.packed, facts.space._denominator
+    for i, value in enumerate(family.numerators):
+        if value > one:
+            return CheckEntry("C5", False, _cx(event=family.events[i], value=facts.fraction(value)))
     return CheckEntry("C5", True)
 
 
@@ -653,7 +656,7 @@ def _suite_l3(facts):
     for event in facts.space.f:
         if annihilating_union(event, -event) != empty:
             return CheckEntry("L3", False, _cx(event=event))
-        if not annihilated_equals(tuple(event) + tuple(-event), empty):
+        if not annihilated_equals((event, -event), empty):
             return CheckEntry("L3", False, _cx(event=event, reason="plain union draft"))
     return CheckEntry("L3", True)
 
@@ -945,12 +948,13 @@ def _suite_p7(facts):
 
 @_suite("P8", "P(A) = -P(-A)")
 def _suite_p8(facts):
-    pmap = facts.pmap
-    for event in facts.space.f:
-        if pmap[event] != -pmap[-event]:
-            return CheckEntry(
-                "P8", False, _cx(event=event, lhs=pmap[event], rhs=-pmap[-event])
-            )
+    family = facts.packed
+    negate, index, numerators = family.codec.negate, family.index, family.numerators
+    for i, mask in enumerate(family.masks):
+        value, mirrored = numerators[i], numerators[index[negate(mask)]]
+        if value != -mirrored:
+            lhs, rhs = facts.fraction(value), facts.fraction(-mirrored)
+            return CheckEntry("P8", False, _cx(event=family.events[i], lhs=lhs, rhs=rhs))
     return CheckEntry("P8", True)
 
 
@@ -969,36 +973,50 @@ def _suite_p9(facts):
 
 @_suite("P10", "P(A) = -P(complement(A))")
 def _suite_p10(facts):
-    space, pmap = facts.space, facts.pmap
-    for event in space.f:
-        comp = space.complement(event)
-        if comp not in pmap:
-            return CheckEntry("P10", False, _cx(event=event, reason="complement not measurable"))
-        if pmap[event] != -pmap[comp]:
+    family = facts.packed
+    complement, index, numerators = family.codec.complement, family.index, family.numerators
+    events = family.events
+    for i, mask in enumerate(family.masks):
+        k = index.get(complement(mask))
+        if k is None:
+            return CheckEntry("P10", False, _cx(event=events[i], reason="complement not measurable"))
+        if numerators[i] != -numerators[k]:
+            lhs, rhs = facts.fraction(numerators[i]), facts.fraction(-numerators[k])
             return CheckEntry(
-                "P10", False, _cx(event=event, complement=comp, lhs=pmap[event], rhs=-pmap[comp])
+                "P10", False, _cx(event=events[i], complement=events[k], lhs=lhs, rhs=rhs)
             )
     return CheckEntry("P10", True)
 
 
 @_suite("P11a", "P is additive over singleton members")
 def _suite_p11a(facts):
-    pmap = facts.pmap
-    for event in facts.space.f:
-        singles = [Event([atom]) for atom in event]
-        if all(single in pmap for single in singles):
-            total = sum((pmap[s] for s in singles), Fraction(0))
-            if total != pmap[event]:
-                return CheckEntry("P11a", False, _cx(event=event, lhs=total, rhs=pmap[event]))
+    family = facts.packed
+    index, numerators = family.index, family.numerators
+    # Single-bit mask -> numerator, for the singleton members.
+    bits = (1 << b for b in range(2 * family.codec.n))
+    singles = {bit: numerators[index[bit]] for bit in bits if bit in index}
+    for i, mask in enumerate(family.masks):
+        total, rest = 0, mask
+        while rest:
+            value = singles.get(rest & -rest)
+            if value is None:
+                break
+            total += value
+            rest &= rest - 1
+        # Bits left in ``rest``: an atom's singleton is not a member, so the
+        # identity does not apply.
+        if not rest and total != numerators[i]:
+            lhs, rhs = facts.fraction(total), facts.fraction(numerators[i])
+            return CheckEntry("P11a", False, _cx(event=family.events[i], lhs=lhs, rhs=rhs))
     return CheckEntry("P11a", True)
 
 
 @_suite("P11b", "-1 <= P(A) <= 1")
 def _suite_p11b(facts):
-    pmap = facts.pmap
-    for event in facts.space.f:
-        if not -1 <= pmap[event] <= 1:
-            return CheckEntry("P11b", False, _cx(event=event, value=pmap[event]))
+    family, one = facts.packed, facts.space._denominator
+    for i, value in enumerate(family.numerators):
+        if not -one <= value <= one:
+            return CheckEntry("P11b", False, _cx(event=family.events[i], value=facts.fraction(value)))
     return CheckEntry("P11b", True)
 
 
@@ -1031,8 +1049,7 @@ def _suite_t2(facts):
                 return CheckEntry("T2", False, _cx(op="-", X=events[i], Y=events[j]))
     if facts.field:
         for i, x in enumerate(masks):
-            # Part-wise complement, joined with annihilation (ExtendedSpace.complement).
-            if union(codec.low & ~x, codec.high & ~x) not in members:
+            if codec.complement(x) not in members:
                 return CheckEntry("T2", False, _cx(op="complement", X=events[i]))
     return CheckEntry("T2", True)
 
@@ -1140,11 +1157,13 @@ def run_theorem_suite(space: ExtendedSpace, ids: "Iterable[str] | None" = None) 
     Exhaustive over the space's measurable family of N members: L4
     enumerates all N**3 member triples, the pair checks all N**2 pairs.  The
     triple and most pair loops run on the packed family of the call's
-    :class:`_Facts`, which builds only what the selected checks read (C1, L1
-    or P9 build no probability map); P6 evaluates a draft per pair and is
-    the slowest check past four atoms.  Measured on a 2-core x86 VM with
-    CPython 3.11, the full suite on an n-atom powerset takes about 0.3 s at
-    n = 4 (81 members), 3 s at n = 5 and 35 s at n = 6.
+    :class:`_Facts`, which builds only what the selected checks read.  The
+    measure identities C5, P8, P10, P11a and P11b compare its integer
+    numerators; only P6, T3, T4a and T4b read the ``Fraction`` probability
+    map.  P6 evaluates a draft per pair and is the slowest check past four
+    atoms.  Measured on a 2-core x86 VM with CPython 3.11, the full suite on
+    an n-atom powerset takes about 0.3 s at n = 4 (81 members), 3 s at
+    n = 5 and 35 s at n = 6.
     """
     if ids is None:
         selected = list(_SUITE)

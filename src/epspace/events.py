@@ -230,7 +230,10 @@ class Event:
         """Canonical text form: ``a,-b,c`` sorted by label; ``{}`` when empty."""
         if not self:
             return "{}"
-        return ",".join(atom.text for atom in self)
+        pos = self._pos
+        return ",".join(
+            label if label in pos else "-" + label for label in sorted(pos | self._neg)
+        )
 
     def __str__(self) -> str:
         return self.text()
@@ -346,8 +349,9 @@ class LabelMask:
     negative, so an event packs to ``pos | neg << n``.  On packed events,
     intersection is ``&``, difference is ``x & ~y``, symmetric difference is
     ``^``, and ``m & low`` / ``m & high`` are the positive and negative parts;
-    :meth:`union` and :meth:`negate` do the rest.  Hot loops over a whole
-    family work on these ints and decode only what they report.
+    :meth:`union`, :meth:`negate` and :meth:`complement` do the rest.  Hot
+    loops over a whole family work on these ints and decode only what they
+    report.
     """
 
     __slots__ = ("labels", "n", "low", "high", "_bit")
@@ -367,6 +371,11 @@ class LabelMask:
 
     def negate(self, mask: int) -> int:
         return (mask & self.low) << self.n | mask >> self.n
+
+    def complement(self, mask: int) -> int:
+        """Part-wise complement joined with annihilation, as
+        :meth:`ExtendedSpace.complement <epspace.measure.ExtendedSpace.complement>`."""
+        return self.union(self.low & ~mask, self.high & ~mask)
 
     def support(self, mask: int) -> int:
         """The labels an event uses, as a bitmask over ``labels``."""

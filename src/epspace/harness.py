@@ -198,8 +198,12 @@ def serialize_space(space: ExtendedSpace) -> str:
 
     The algebra serializes as ``"powerset"`` when the positive family is the
     full powerset, otherwise as the explicit member list (whose closure is
-    itself).
+    itself).  A document has no field for pinned values, so a space with
+    overrides raises :class:`SchemaError` rather than lose them.
     """
+    if space.overrides:
+        pinned = ", ".join(sorted(event.text() for event in space.overrides))
+        raise SchemaError(f"cannot serialize a space with overrides (pinned: {pinned})")
     n = len(space.ground)
     if len(space.fplus) == 2 ** n:
         algebra: object = "powerset"

@@ -298,6 +298,14 @@ def test_parse_draft_and_text_roundtrip():
     assert Event(Event("c,-b,a").text()) == Event("a,-b,c")
 
 
+@given(events)
+def test_text_matches_atom_form(event):
+    # text() formats from the label sets; it must equal the text spelled
+    # through the event's atoms.
+    expected = ",".join(atom.text for atom in event) if event else "{}"
+    assert event.text() == expected
+
+
 def test_parse_draft_allows_annihilating_pairs():
     assert parse_draft("a,-a") == (Atom("a"), Atom("a", False))
     with pytest.raises(InvalidEventError):

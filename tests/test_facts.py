@@ -29,6 +29,7 @@ from epspace import (
     Atom,
     Event,
     ExtendedSpace,
+    annihilated_equals,
     compose_family,
     check_kolmogorov_restriction,
     generate_algebra,
@@ -37,6 +38,7 @@ from epspace import (
     make_space,
     mirror_family,
     run_theorem_suite,
+    suite_ids,
     validate_axioms,
 )
 from epspace import checks, measure
@@ -159,6 +161,59 @@ def reference_t1(space, pmap):
     if plus_field and not minus_field:
         return CheckEntry("T1", False, _cx(reason="mirror lost the field structure"))
     return CheckEntry("T1", True, note=f"algebra={plus_algebra} field={plus_field}")
+
+
+def reference_c5(space, pmap):
+    for event in space.f:
+        if pmap[event] > 1:
+            return CheckEntry("C5", False, _cx(event=event, value=pmap[event]))
+    return CheckEntry("C5", True)
+
+
+def reference_l3(space, pmap):
+    empty = Event()
+    for event in space.f:
+        if event + -event != empty:
+            return CheckEntry("L3", False, _cx(event=event))
+        if not annihilated_equals(tuple(event) + tuple(-event), empty):
+            return CheckEntry("L3", False, _cx(event=event, reason="plain union draft"))
+    return CheckEntry("L3", True)
+
+
+def reference_p8(space, pmap):
+    for event in space.f:
+        if pmap[event] != -pmap[-event]:
+            return CheckEntry("P8", False, _cx(event=event, lhs=pmap[event], rhs=-pmap[-event]))
+    return CheckEntry("P8", True)
+
+
+def reference_p10(space, pmap):
+    for event in space.f:
+        comp = space.complement(event)
+        if comp not in pmap:
+            return CheckEntry("P10", False, _cx(event=event, reason="complement not measurable"))
+        if pmap[event] != -pmap[comp]:
+            return CheckEntry(
+                "P10", False, _cx(event=event, complement=comp, lhs=pmap[event], rhs=-pmap[comp])
+            )
+    return CheckEntry("P10", True)
+
+
+def reference_p11a(space, pmap):
+    for event in space.f:
+        singles = [Event([atom]) for atom in event]
+        if all(single in pmap for single in singles):
+            total = sum((pmap[s] for s in singles), Fraction(0))
+            if total != pmap[event]:
+                return CheckEntry("P11a", False, _cx(event=event, lhs=total, rhs=pmap[event]))
+    return CheckEntry("P11a", True)
+
+
+def reference_p11b(space, pmap):
+    for event in space.f:
+        if not -1 <= pmap[event] <= 1:
+            return CheckEntry("P11b", False, _cx(event=event, value=pmap[event]))
+    return CheckEntry("P11b", True)
 
 
 def reference_t4b(space, pmap):
@@ -378,9 +433,15 @@ def assert_axioms_match_reference(space):
 
 REFERENCE_SUITE = {
     "C4": reference_c4,
+    "C5": reference_c5,
+    "L3": reference_l3,
     "L10": reference_l10,
     "P3": reference_p3,
     "P5": reference_p5,
+    "P8": reference_p8,
+    "P10": reference_p10,
+    "P11a": reference_p11a,
+    "P11b": reference_p11b,
     "T1": reference_t1,
     "T2": reference_t2,
     "T4b": reference_t4b,
@@ -454,6 +515,46 @@ def test_entries_match_reference_on_generated_fields(labels, generators):
     space = make_space(tuple(labels), weights, fplus)
     assert_matches_reference(space)
     assert_matches_reference(space.with_override(space.omega_minus, Fraction(-1, 2)))
+
+
+def counter_measure(labels, p, q):
+    """The powerset space over ``labels`` with P(A | -B) = P+(A) - Q(B): P+
+    from the weights ``p``, and a second measure ``q`` on the negative
+    parts, pinned on every member with a negative part.  With ``q != p`` it
+    passes the axioms but breaks the antisymmetry the weight model builds in."""
+    space = make_space(labels, p)
+    for event in space.f:
+        if event.negative_labels:
+            value = sum((Fraction(p[l]) for l in event.positive_labels), Fraction(0)) - sum(
+                (Fraction(q[l]) for l in event.negative_labels), Fraction(0)
+            )
+            space = space.with_override(event, value)
+    return space
+
+
+COUNTER_MEASURES = {
+    "ab": lambda: counter_measure(AB, {"a": "1/4", "b": "3/4"}, {"a": "1/2", "b": "1/2"}),
+    "abc": lambda: counter_measure(
+        ABC, {"a": "1/2", "b": "1/4", "c": "1/4"}, {"a": "1/6", "b": "1/3", "c": "1/2"}
+    ),
+    # One atom and Q unnormalized: P(-a) leaves [-1, 1].
+    "a-above": lambda: counter_measure(("a",), {"a": "1"}, {"a": "-2"}),
+    "a-below": lambda: counter_measure(("a",), {"a": "1"}, {"a": "3"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTER_MEASURES))
+def test_entries_match_reference_on_counter_measures(name):
+    space = COUNTER_MEASURES[name]()
+    assert_matches_reference(space)
+    # The axioms do not imply the antisymmetry P8 and P10 check.
+    assert validate_axioms(space).ok
+    failed = {entry.check_id for entry in run_theorem_suite(space).failures()}
+    assert {"P8", "P10"} <= failed
+    if name == "a-above":
+        assert {"C5", "P11b"} <= failed
+    if name == "a-below":
+        assert "P11b" in failed
 
 
 @settings(max_examples=60)
@@ -589,13 +690,32 @@ def test_restriction_stores_numerators_for_the_positive_family_only():
         assert set(space._numerators) == space.fplus.events
 
 
-@pytest.mark.parametrize("check_id", ["C1", "C2", "L1", "L2", "P1", "P2", "P9"])
+@pytest.mark.parametrize(
+    "check_id", ["C1", "C2", "C5", "L1", "L2", "L3", "P1", "P2", "P8", "P9", "P10", "P11a", "P11b"]
+)
 def test_light_suite_ids_evaluate_no_probability_map(monkeypatch, check_id):
     space = make_space(ABC, {"a": "1/2", "b": "1/4", "c": "1/4"})
     calls = count_calls(monkeypatch, ExtendedSpace, "probability")
     assert run_theorem_suite(space, [check_id]).ok
     # P9 evaluates its one draft; nothing else is measured.
     assert len(calls) == (1 if check_id == "P9" else 0)
+
+
+def test_only_four_suite_ids_read_the_probability_map(monkeypatch):
+    space = make_space(AB, {"a": "1/2", "b": "1/2"})
+    build = vars(_Facts)["pmap"].func
+    readers = []
+
+    def read_by(check_id):
+        def pmap(facts):
+            readers.append(check_id)
+            return build(facts)
+        return property(pmap)
+
+    for check_id in suite_ids():
+        monkeypatch.setattr(_Facts, "pmap", read_by(check_id))
+        assert run_theorem_suite(space, [check_id]).ok
+    assert sorted(set(readers)) == ["P6", "T3", "T4a", "T4b"]
 
 
 def test_restriction_and_continuity_ids_share_one_probability_map(monkeypatch):

@@ -149,6 +149,14 @@ def test_roundtrip_generated_algebra():
     assert serialize_space(again) == serialize_space(space)
 
 
+def test_serialize_refuses_a_space_with_overrides():
+    # A document has no field for pinned values: writing one without them
+    # would parse back to a different space.
+    pinned = parse_space(VALID_DOC).with_override(Event("a"), "7/10")
+    with pytest.raises(SchemaError, match="overrides"):
+        serialize_space(pinned)
+
+
 # --- enumeration ------------------------------------------------------------
 
 

@@ -397,3 +397,13 @@ def test_label_mask_round_trips(sample, order):
         assert codec.decode(mask) == event
         assert mask & (mask >> codec.n) == 0
         assert bin(mask).count("1") == len(event)
+
+
+@pytest.mark.parametrize("labels, generators", [("abcd", None), ("abcdef", ["a,b", "c,d"])])
+def test_label_mask_complement_matches_space_complement(labels, generators):
+    universe = Event(",".join(labels))
+    fplus = None if generators is None else generate_algebra([Event(g) for g in generators], universe)
+    space = make_space(tuple(labels), {label: Fraction(1, len(labels)) for label in labels}, fplus)
+    codec = LabelMask(sorted(labels))
+    for event in space.f:
+        assert codec.decode(codec.complement(codec.encode(event))) == space.complement(event)
