@@ -8,12 +8,16 @@ under complement within that universe.
 
 The ring/algebra/field predicates apply to families whose members are
 sign-homogeneous (each member entirely positive or entirely negative).
+:func:`is_set_algebra` keeps its verdict on the family it proves, so a
+family's structure is proved once however many checks ask.
 :func:`mirror_family` negates a positive family elementwise, and
 :func:`compose_family` pairs each positive member with each disjoint
 negative mirror member, producing the measurable events of a signed space:
 ``A | -B`` for disjoint ``A, B`` in the positive family.  For the full
 powerset over ``n`` labels the composition has exactly ``3**n`` members
 (each label independently present-positive, present-negative, or absent).
+It pairs the members as packed ints (:class:`LabelMask`) and emits the
+composition already in canonical order, so iterating it sorts nothing.
 
 All checks are exhaustive over the explicit finite families; that is the
 point of this module, so no lazy representations.
@@ -96,9 +100,18 @@ class Family:
     def of(cls, *events: Event, kind: str = "plain") -> "Family":
         return cls(frozenset(events), kind)
 
+    @classmethod
+    def _in_order(cls, ordered: tuple, kind: str) -> "Family":
+        """A family of ``ordered``, whose members are already in canonical
+        order: the order is kept as given and never sorted."""
+        family = cls(frozenset(ordered), kind)
+        object.__setattr__(family, "_ordered", ordered)
+        return family
+
     def __iter__(self) -> Iterator[Event]:
-        # The canonical order is sorted on first use and kept on the instance,
-        # outside the dataclass fields, so equality and hash never see it.
+        # The canonical order is sorted on first use (or given by _in_order)
+        # and kept on the instance, outside the dataclass fields, so equality
+        # and hash never see it.
         try:
             ordered = self._ordered
         except AttributeError:
@@ -161,8 +174,20 @@ def is_set_algebra(family: Family) -> tuple[bool, Event | None]:
 
     The only possible unit is the union of all members (a unit must contain
     every member and itself be a member), so that candidate is computed and
-    then verified explicitly.
+    then verified explicitly.  The verdict is kept on the family instance,
+    outside the dataclass fields, so equality and hash never see it and a
+    second call proves nothing again.
     """
+    try:
+        return family._algebra
+    except AttributeError:
+        pass
+    verdict = _algebra_verdict(family)
+    object.__setattr__(family, "_algebra", verdict)
+    return verdict
+
+
+def _algebra_verdict(family: Family) -> tuple[bool, Event | None]:
     if not is_set_ring(family) or not family.events:
         return (False, None)
     candidate = reduce(
@@ -234,21 +259,43 @@ def compose_family(fplus: Family) -> Family:
 
     Disjointness is exactly the constraint that keeps one label from carrying
     both signs, so every composed pair is a valid event.
+
+    The members are packed with :class:`LabelMask` over their sorted labels,
+    and ``A``, ``B`` pair wherever their masks share no bit.  Each composed
+    event gets an int key that sorts it into canonical order
+    (:func:`canonical_key`): its size above its signed labels' rank bits,
+    where label ``i`` sets bit ``2n-1-2i`` when positive and bit ``2n-2-2i``
+    when negative, so among events of one size a larger rank (an earlier
+    first signed label) sorts first.  The family keeps that order, and
+    iterating it sorts nothing.
     """
-    for member in fplus:
-        if not member.is_positive:
-            raise ValueError(
-                f"compose_family expects a positive family; got member "
-                f"{member.text()!r}"
-            )
-    members = set()
-    for a in fplus.events:
-        apos = a.positive_labels
-        for b in fplus.events:
-            bpos = b.positive_labels
-            if apos.isdisjoint(bpos):
-                members.add(Event._raw(apos, bpos))
-    return Family(frozenset(members), "composed")
+    bad = [member for member in fplus.events if not member.is_positive]
+    if bad:
+        raise ValueError(
+            f"compose_family expects a positive family; got member "
+            f"{min(bad, key=canonical_key).text()!r}"
+        )
+    codec = LabelMask(sorted(set().union(*[member.positive_labels for member in fplus.events])))
+    width = 2 * codec.n
+    rank_bit = {label: 1 << (width - 1 - 2 * i) for i, label in enumerate(codec.labels)}
+    # A composed key is (|A| + |B|) << width | full ^ (rank(A) | rank(B) >> 1):
+    # rank(A) and rank(B) >> 1 occupy the odd and even bits, so the key is
+    # the sum of a term for A and a term for B.
+    full = (1 << width) - 1
+    as_plus, as_minus = [], []
+    for member in fplus.events:
+        labels = member.positive_labels
+        rank = sum([rank_bit[label] for label in labels])
+        size = len(labels) << width
+        mask = codec.encode(member)
+        as_plus.append((mask, size + full - rank, labels))
+        as_minus.append((mask, size - (rank >> 1), labels))
+    keyed = {}
+    for a, a_key, a_labels in as_plus:
+        for b, b_key, b_labels in as_minus:
+            if not a & b:
+                keyed[a_key + b_key] = Event._raw(a_labels, b_labels)
+    return Family._in_order(tuple([keyed[key] for key in sorted(keyed)]), "composed")
 
 
 def powerset_family(universe: "Event | GroundSet") -> Family:

@@ -2,8 +2,9 @@
 stand-alone forms.
 
 K1-K3 are the EP8/EP3/EP5p entries renamed, T5-T7 and L10 read the axiom
-entries, and EP2, EP4, P3, C4, P5, T1, T2 and T4b read the shared mirror
-family and algebra/field verdicts.  The reference functions below compute
+entries, EP2, P3, C4, P5, T1, T2 and T4b read the shared mirror family and
+algebra/field verdicts, and EP4 compares one recomposition without walking
+the parts.  The reference functions below compute
 each of them on their own, from the space and its probability map, as the
 checks did before they shared anything; every entry must agree byte for
 byte.  The spaces are chosen to make them fail: unchecked spaces with
@@ -29,6 +30,7 @@ from epspace import (
     Atom,
     Event,
     ExtendedSpace,
+    Family,
     annihilated_equals,
     compose_family,
     check_kolmogorov_restriction,
@@ -502,6 +504,48 @@ def test_pinned_full_negative_event_fails_t6_only_through_ep5():
     assert_matches_reference(space)
     t6 = run_theorem_suite(space, ["T6"]).entry("T6")
     assert t6.line() == "T6 FAIL A=-a B=-b union=-a,-b lhs=-1 rhs=-1/2 (EP5p=PASS EP10=PASS EP5=FAIL)"
+
+
+def hand_built(drop=None, extra=None):
+    """The field space generated by {a,b} over a,b,c, with a measurable family
+    built by hand that lacks ``drop`` or holds ``extra`` beside the
+    composition."""
+    fplus = generate_algebra([Event("a,b")], Event("a,b,c"))
+    space = make_space(ABC, {"a": "1/3", "b": "1/6", "c": "1/2"}, fplus)
+    members = (space.f.events - {drop}) | ({extra} if extra is not None else set())
+    return ExtendedSpace(space.ground, space.weights, space.fplus, Family(members))
+
+
+@pytest.mark.parametrize(
+    "drop, extra, ep10",
+    [
+        ("a,b", None, "EP10 FAIL event=a,b,-c reason=part not measurable"),
+        ("-c", None, "EP10 FAIL event=a,b,-c reason=part not measurable"),
+        ("a,b,-c", None, "EP10 PASS"),
+        (None, "a", "EP10 PASS"),
+        (None, "a,-c", "EP10 FAIL event=a,-c reason=part not measurable"),
+    ],
+)
+def test_hand_built_families_fail_ep4_and_ep10_as_the_reference(drop, extra, ep10):
+    space = hand_built(drop and Event(drop), extra and Event(extra))
+    report, pmap = validate_axioms(space), reference_pmap(space)
+    assert report.entry("EP4") == reference_ep4(space, pmap)
+    assert report.entry("EP4").line() == (
+        f"EP4 FAIL reason=family is not the disjoint composition near={drop or extra}"
+    )
+    assert report.entry("EP10").line() == ep10
+    assert_axioms_match_reference(space)
+    assert run_theorem_suite(space, ["P3"]).entry("P3") == reference_p3(space, pmap)
+
+
+def test_an_override_that_breaks_ep10_fails_it_and_t5_as_the_reference():
+    space = make_space(ABC, {"a": "1/3", "b": "1/6", "c": "1/2"}).with_override(Event("a,-b"), "1/7")
+    assert validate_axioms(space).entry("EP10").line() == "EP10 FAIL event=a,-b lhs=1/6 rhs=1/7"
+    assert run_theorem_suite(space, ["T5"]).entry("T5").line() == (
+        "T5 FAIL event=a,-b (finite spaces: decreasing chains stabilize, "
+        "continuity reduces to P({})=0)"
+    )
+    assert_matches_reference(space)
 
 
 @pytest.mark.parametrize(

@@ -18,10 +18,16 @@ from epspace import (
     is_set_algebra,
     is_set_field,
     is_set_ring,
+    make_space,
     mirror_family,
+    positive_family_is_field,
     powerset_family,
+    run_theorem_suite,
+    validate_axioms,
 )
 from epspace.events import canonical_key
+
+from test_facts import count_calls
 
 
 def all_subsets(labels):
@@ -281,6 +287,93 @@ def test_compose_members_are_valid_events():
     composed = compose_family(powerset_family(Event("a,b,c")))
     for member in composed:
         assert member.positive_labels.isdisjoint(member.negative_labels)
+
+
+# --- composition on masks, in canonical order ------------------------------
+
+# Labels whose string order differs from their ground order.
+MIXED_LABELS = ("b", "a", "B", "_x", "a1")
+
+
+def reference_compose(fplus: Family) -> tuple:
+    """The frozenset pair loop, sorted by ``canonical_key``."""
+    members = set()
+    for a in fplus.events:
+        for b in fplus.events:
+            if a.positive_labels.isdisjoint(b.positive_labels):
+                members.add(Event._raw(a.positive_labels, b.positive_labels))
+    return tuple(sorted(members, key=canonical_key))
+
+
+@st.composite
+def positive_families(draw):
+    labels = draw(st.sampled_from((("a",), ("a", "b", "c"), MIXED_LABELS, ("w2", "w10", "w1", "w3"))))
+    universe = Event(",".join(labels))
+    shape = draw(st.sampled_from(("powerset", "generated", "arbitrary", "empty")))
+    if shape == "powerset":
+        return powerset_family(universe)
+    if shape == "empty":
+        return Family(frozenset())
+    subsets = all_subsets(labels)
+    if shape == "generated":
+        return generate_algebra(draw(st.lists(st.sampled_from(subsets), max_size=3)), universe)
+    return Family(frozenset(draw(st.lists(st.sampled_from(subsets), max_size=12))))
+
+
+@given(positive_families())
+def test_compose_matches_the_sorted_pair_loop(fplus):
+    composed = compose_family(fplus)
+    expected = reference_compose(fplus)
+    assert composed.events == frozenset(expected)
+    assert tuple(composed) == expected
+    assert tuple(Family(composed.events)) == expected
+
+
+def test_compose_names_the_least_non_positive_member():
+    with pytest.raises(ValueError, match="got member '-a'"):
+        compose_family(Family.of(Event(), Event("-b,c"), Event("-a"), Event("a,-b")))
+
+
+def test_iterating_a_fresh_measurable_family_sorts_nothing(monkeypatch):
+    import epspace.families as families
+
+    field = generate_algebra([Event("a,b"), Event("c")], Event("a,b,c,d,e"))
+    for space in (
+        make_space(MIXED_LABELS, {label: "1/5" for label in MIXED_LABELS}),
+        make_space(tuple("abcde"), {label: "1/5" for label in "abcde"}, field),
+    ):
+        calls = count_calls(monkeypatch, families, "canonical_key")
+        assert tuple(space.f) == reference_compose(space.fplus)
+        assert calls == []
+
+
+def test_the_positive_algebra_is_proved_once(monkeypatch):
+    import epspace.families as families
+
+    calls = count_calls(monkeypatch, families, "is_set_ring")
+    space = make_space(("a", "b", "c"), {"a": "1/2", "b": "1/4", "c": "1/4"})
+    pinned = space.with_override(Event("a,-b"), "1/3")
+    assert validate_axioms(space).ok
+    assert run_theorem_suite(space).ok
+    assert not validate_axioms(pinned).ok
+    assert positive_family_is_field(pinned)
+    assert sum(args[0] is space.fplus for args in calls) == 1
+
+
+def test_the_kept_algebra_verdict_is_invisible_to_equality_and_hash():
+    import dataclasses
+
+    proved, fresh = powerset_family(Event("a,b")), powerset_family(Event("a,b"))
+    before = hash(proved)
+    assert is_set_algebra(proved) == (True, Event("a,b"))
+    assert is_set_algebra(proved) is is_set_algebra(proved)
+    assert proved == fresh and hash(proved) == hash(fresh) == before
+    assert repr(proved) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(Family)] == ["events", "kind"]
+    # A failed proof is kept too.
+    not_a_ring = Family.of(Event("a"))
+    assert is_set_algebra(not_a_ring) == (False, None)
+    assert is_set_algebra(not_a_ring) is is_set_algebra(not_a_ring)
 
 
 # --- ground sets and serialization -------------------------------------------

@@ -18,6 +18,7 @@ from epspace import (
     NormalizationError,
     SchemaError,
     check_kolmogorov_restriction,
+    generate_algebra,
     make_space,
     positive_family_is_field,
     powerset_family,
@@ -25,7 +26,7 @@ from epspace import (
     validate_axioms,
 )
 from epspace.checks import _Facts
-from epspace.events import Atom
+from epspace.events import Atom, LabelMask
 
 from conftest import LABELS, spaces
 from test_kernel import damaged_spaces, subsets
@@ -288,6 +289,22 @@ def test_complement_is_negation_and_antisymmetric(space):
         comp = space.complement(event)
         assert comp == -event
         assert space.probability(event) == -space.probability(comp)
+
+
+@pytest.mark.parametrize("generated", [False, True])
+def test_complement_of_a_member_is_its_negation(generated):
+    # Each label of the event changes sign and each absent label annihilates
+    # with its anti-label, so on a composed family P10 restates P8 and T2's
+    # complement pass cannot fail.
+    labels = ("a", "b", "c", "d")
+    fplus = generate_algebra([Event("a,b"), Event("c")], Event("a,b,c,d")) if generated else None
+    space = make_space(labels, {label: "1/4" for label in labels}, fplus)
+    codec = LabelMask(sorted(labels))
+    assert len(space.f) == (27 if generated else 81)
+    for event in space.f:
+        assert space.complement(event) == -event
+        mask = codec.encode(event)
+        assert codec.complement(mask) == codec.negate(mask)
 
 
 def test_positive_family_is_field(abc_space):
