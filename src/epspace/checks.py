@@ -21,15 +21,16 @@ Each producer builds one :class:`_Facts` per call, the only argument of
 every check: what the checks share about the space, each part computed at
 most once per report and only when a selected check reads it.
 
-The axioms, K1-K3 and the suite's per-member measure identities (C5, P8,
-P10, P11a, P11b) compare the space's integer numerators over its one common
-denominator and build a ``Fraction`` only for a counterexample; the
-classical restriction reads the positive family's numerators alone.  EP6
-and EP7 share one normalization pass over the annihilation probes, and EP7
+Every check compares integer numerators: the space's one measure, each
+member's probability over its one common denominator.  A ``Fraction`` is
+built only for a counterexample and on P6's draft side, which sums the
+weights without the memo; besides P9's single draft no check calls
+:meth:`~epspace.measure.ExtendedSpace.probability`.  The classical
+restriction reads the positive family's numerators alone.  EP6 and EP7
+share one normalization pass over the annihilation probes, and EP7
 evaluates only the probes whose draft does not normalize back to the event:
 a draft's probability is that of its normal form, so every other probe
-passes by definition.  The ``Fraction`` probability map is built only for
-P6, T3, T4a and T4b.
+passes by definition.
 
 EP2, T1 and the field verdict read the positive family's algebra verdict,
 which :func:`~epspace.families.is_set_algebra` keeps on the family, so the
@@ -294,17 +295,6 @@ def _check_ep3(facts: _Facts) -> CheckEntry:
     return CheckEntry("EP3", True)
 
 
-def _parts_inside(check_id: str, facts: _Facts) -> CheckEntry:
-    """Every member's positive part is in the positive family and its
-    negative part in the mirror family (P3; EP4 implies it)."""
-    fplus, mirror = facts.space.fplus, facts.mirror
-    for member in facts.space.f:
-        pos, neg = member.split()
-        if pos not in fplus or neg not in mirror:
-            return CheckEntry(check_id, False, _cx(event=member, reason="part outside its family"))
-    return CheckEntry(check_id, True)
-
-
 def _check_ep4(facts: _Facts) -> CheckEntry:
     """The measurable family is the disjoint composition of the positive one.
 
@@ -477,16 +467,13 @@ class _Facts:
 
     The packed full and positive families, the annihilation probes whose
     drafts move (EP6 and EP7), the mirror family, the positive family's
-    algebra and field verdicts, the EP3/EP5/EP5p/EP8/EP9/EP10 entries, which
-    K1-K3, L10 and T5-T7 read too, and, for P6, T3, T4a and T4b only, the
-    probability map.  Each is computed on first read and kept for the rest
-    of the report.  The axioms, K1-K3 and the suite's C5, P8, P10, P11a and
-    P11b compare the packed family's integer numerators and never read the
-    probability map; :meth:`fraction` turns a numerator into the
-    ``Fraction`` a counterexample shows.  ``trials`` and
-    ``seed`` select sampled probes for EP5, EP6, EP7 and EP10; the classical
-    restriction and the suite never sample, so the entries they read are
-    exhaustive.
+    algebra and field verdicts, and the EP3/EP5/EP5p/EP8/EP9/EP10 entries,
+    which K1-K3, L10 and T5-T7 read too.  Each is computed on first read and
+    kept for the rest of the report.  Every check compares integer
+    numerators; :meth:`fraction` turns one into the ``Fraction`` a
+    counterexample shows.  ``trials`` and ``seed`` select sampled probes for
+    EP5, EP6, EP7 and EP10; the classical restriction and the suite never
+    sample, so the entries they read are exhaustive.
     """
 
     def __init__(self, space: ExtendedSpace, trials: "int | None" = None, seed: int = 0):
@@ -498,13 +485,6 @@ class _Facts:
     def fraction(self, numerator: int) -> Fraction:
         """``numerator`` over the space's common denominator."""
         return Fraction(numerator, self.space._denominator)
-
-    @cached_property
-    def pmap(self) -> dict:
-        """The ``Fraction`` probability of every member of the measurable
-        family; read only by P6, T3, T4a and T4b."""
-        space = self.space
-        return {event: space.probability(event) for event in space.f}
 
     @cached_property
     def moved_probes(self) -> list:
@@ -906,9 +886,14 @@ def _suite_p3(facts):
     space = facts.space
     if not space.fplus.events <= space.f.events:
         return CheckEntry("P3", False, _cx(reason="positive family escapes the composition"))
-    if not facts.mirror.events <= space.f.events:
+    mirror = facts.mirror
+    if not mirror.events <= space.f.events:
         return CheckEntry("P3", False, _cx(reason="mirror family escapes the composition"))
-    return _parts_inside("P3", facts)
+    for member in space.f:
+        pos, neg = member.split()
+        if pos not in space.fplus or neg not in mirror:
+            return CheckEntry("P3", False, _cx(event=member, reason="part outside its family"))
+    return CheckEntry("P3", True)
 
 
 @_suite("P4", "an event is positive iff its negation is negative")
@@ -946,19 +931,21 @@ def _weight_sum(space: ExtendedSpace, event: Event) -> Fraction:
 
 @_suite("P6", "P of an annihilating union equals P of the plain-union draft")
 def _suite_p6(facts):
-    # Stays on events and on Fraction sums: it compares the union path (the
-    # space's integer measure) with the draft path, where the plain-union
-    # draft is normalized and summed from the weights without the memo.  On
-    # packed ints, or through the memo, both paths would be one operation.
-    space, pmap = facts.space, facts.pmap
+    # Compares the union path (the space's integer measure) with the draft
+    # path, where the plain-union draft is normalized and summed from the
+    # weights without the memo; on packed ints, or through the memo, both
+    # paths would be one operation.  The sides compare by cross-multiplying.
+    space = facts.space
+    members, numerator, one = space.f.events, space._numerator, space._denominator
     for x in space.f:
         for y in space.f:
             joined = x + y
-            if joined not in pmap:
+            if joined not in members:
                 return CheckEntry("P6", False, _cx(X=x, Y=y, reason="union not measurable"))
+            value = numerator(joined)
             draft_value = _weight_sum(space, normalize(tuple(x) + tuple(y)))
-            if pmap[joined] != draft_value:
-                return CheckEntry("P6", False, _cx(X=x, Y=y, lhs=pmap[joined], rhs=draft_value))
+            if value * draft_value.denominator != draft_value.numerator * one:
+                return CheckEntry("P6", False, _cx(X=x, Y=y, lhs=facts.fraction(value), rhs=draft_value))
     return CheckEntry("P6", True)
 
 
@@ -977,11 +964,15 @@ def _suite_p7(facts):
 def _suite_p8(facts):
     family = facts.packed
     negate, index, numerators = family.codec.negate, family.index, family.numerators
+    events = family.events
     for i, mask in enumerate(family.masks):
-        value, mirrored = numerators[i], numerators[index[negate(mask)]]
+        k = index.get(negate(mask))
+        if k is None:
+            return CheckEntry("P8", False, _cx(event=events[i], reason="negation not measurable"))
+        value, mirrored = numerators[i], numerators[k]
         if value != -mirrored:
             lhs, rhs = facts.fraction(value), facts.fraction(-mirrored)
-            return CheckEntry("P8", False, _cx(event=family.events[i], lhs=lhs, rhs=rhs))
+            return CheckEntry("P8", False, _cx(event=events[i], lhs=lhs, rhs=rhs))
     return CheckEntry("P8", True)
 
 
@@ -1083,57 +1074,67 @@ def _suite_t2(facts):
 
 @_suite("T3", "P(A) = P(A+) + P(A-) = P(A+) - P(-(A-))")
 def _suite_t3(facts):
-    pmap = facts.pmap
-    for event in facts.space.f:
-        pos, neg = event.split()
-        if pos not in pmap or neg not in pmap or -neg not in pmap:
-            return CheckEntry("T3", False, _cx(event=event, reason="part not measurable"))
-        by_sum = pmap[pos] + pmap[neg]
-        by_diff = pmap[pos] - pmap[-neg]
-        if pmap[event] != by_sum or pmap[event] != by_diff:
-            return CheckEntry("T3", False, _cx(event=event, sum=by_sum, diff=by_diff, value=pmap[event]))
+    # On the packed family, the parts of mask ``m`` are ``m & low`` and
+    # ``m & high``, and ``-(A-)`` is ``m >> n``.
+    family = facts.packed
+    codec, index, numerators, events = family.codec, family.index, family.numerators, family.events
+    low, high, n = codec.low, codec.high, codec.n
+    for i, mask in enumerate(family.masks):
+        p, q, r = index.get(mask & low), index.get(mask & high), index.get(mask >> n)
+        if p is None or q is None or r is None:
+            return CheckEntry("T3", False, _cx(event=events[i], reason="part not measurable"))
+        value = numerators[i]
+        by_sum, by_diff = numerators[p] + numerators[q], numerators[p] - numerators[r]
+        if value != by_sum or value != by_diff:
+            by_sum, by_diff, value = (facts.fraction(v) for v in (by_sum, by_diff, value))
+            return CheckEntry("T3", False, _cx(event=events[i], sum=by_sum, diff=by_diff, value=value))
     return CheckEntry("T3", True)
 
 
 @_suite("T4a", "P(complement(A)) decomposes through part complements")
 def _suite_t4a(facts):
-    space, pmap = facts.space, facts.pmap
-    omega_plus = space.omega_plus
-    for event in space.f:
-        pos, neg = event.split()
-        comp = space.complement(event)
-        if comp not in pmap:
-            return CheckEntry("T4a", False, _cx(event=event, reason="complement not measurable"))
-        pos_comp = omega_plus - pos
-        anti_comp = omega_plus - (-neg)
-        if pos_comp not in pmap or anti_comp not in pmap:
-            return CheckEntry("T4a", False, _cx(event=event, reason="part complement not measurable"))
-        if pmap[comp] != pmap[pos_comp] - pmap[anti_comp]:
-            return CheckEntry(
-                "T4a",
-                False,
-                _cx(event=event, lhs=pmap[comp], rhs=pmap[pos_comp] - pmap[anti_comp]),
-            )
+    # On the packed family, the complements of the parts of mask ``m`` in
+    # the positive universe are ``low & ~m`` and ``low & ~(m >> n)``.
+    family = facts.packed
+    codec, index, numerators, events = family.codec, family.index, family.numerators, family.events
+    low, n = codec.low, codec.n
+    for i, mask in enumerate(family.masks):
+        c = index.get(codec.complement(mask))
+        if c is None:
+            return CheckEntry("T4a", False, _cx(event=events[i], reason="complement not measurable"))
+        p, q = index.get(low & ~mask), index.get(low & ~(mask >> n))
+        if p is None or q is None:
+            return CheckEntry("T4a", False, _cx(event=events[i], reason="part complement not measurable"))
+        value, parts = numerators[c], numerators[p] - numerators[q]
+        if value != parts:
+            lhs, rhs = facts.fraction(value), facts.fraction(parts)
+            return CheckEntry("T4a", False, _cx(event=events[i], lhs=lhs, rhs=rhs))
     return CheckEntry("T4a", True)
 
 
 @_suite("T4b", "P is monotone on the positive family and antimonotone on the mirror")
 def _suite_t4b(facts):
-    pmap = facts.pmap
-    positives = tuple(facts.space.fplus)
-    # The composed family holds every positive member, and then every mirror
-    # member, exactly when the positive family holds the empty event.
-    if positives and positives[0] not in pmap:
-        return _not_measurable("T4b", positives[0])
-    for a in positives:
-        for b in positives:
-            if a.issubset(b) and pmap[a] > pmap[b]:
-                return CheckEntry("T4b", False, _cx(side="positive", A=a, B=b, pa=pmap[a], pb=pmap[b]))
-    negatives = tuple(facts.mirror)
-    for h in negatives:
-        for k in negatives:
-            if h.issubset(k) and pmap[h] < pmap[k]:
-                return CheckEntry("T4b", False, _cx(side="negative", H=h, K=k, ph=pmap[h], pk=pmap[k]))
+    # Each member is tested as it is read, in loop order: on a measurable
+    # family that lacks one, the entry names the first missing member read.
+    space = facts.space
+    members, numerator, fraction = space.f.events, space._numerator, facts.fraction
+    sides = (
+        ("positive", space.fplus, 1, ("A", "B", "pa", "pb")),
+        ("negative", facts.mirror, -1, ("H", "K", "ph", "pk")),
+    )
+    for side, family, sign, keys in sides:
+        ordered = tuple(family)
+        for a in ordered:
+            for b in ordered:
+                if not a.issubset(b):
+                    continue
+                for event in (a, b):
+                    if event not in members:
+                        return _not_measurable("T4b", event)
+                pa, pb = numerator(a), numerator(b)
+                if sign * pa > sign * pb:
+                    values = (a, b, fraction(pa), fraction(pb))
+                    return CheckEntry("T4b", False, _cx(side=side, **dict(zip(keys, values))))
     return CheckEntry("T4b", True)
 
 
@@ -1184,13 +1185,12 @@ def run_theorem_suite(space: ExtendedSpace, ids: "Iterable[str] | None" = None) 
     Exhaustive over the space's measurable family of N members: L4
     enumerates all N**3 member triples, the pair checks all N**2 pairs.  The
     triple and most pair loops run on the packed family of the call's
-    :class:`_Facts`, which builds only what the selected checks read.  The
-    measure identities C5, P8, P10, P11a and P11b compare its integer
-    numerators; only P6, T3, T4a and T4b read the ``Fraction`` probability
-    map.  P6 evaluates a draft per pair and is the slowest check past four
-    atoms.  Measured on a 2-core x86 VM with CPython 3.11, the full suite on
-    an n-atom powerset takes about 0.3 s at n = 4 (81 members), 3 s at
-    n = 5 and 35 s at n = 6.
+    :class:`_Facts`, which builds only what the selected checks read.
+    Every check compares integer numerators.  P6 normalizes and sums a draft
+    per pair and is the slowest check from four atoms on.  Measured on a
+    2-core x86 VM with CPython 3.11, the full suite on an n-atom powerset
+    takes about 0.3 s at n = 4 (81 members), 3 s at n = 5 and 35 s at
+    n = 6.
     """
     if ids is None:
         selected = list(_SUITE)

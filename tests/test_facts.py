@@ -7,9 +7,12 @@ algebra/field verdicts, and EP4 compares one recomposition without walking
 the parts.  The reference functions below compute
 each of them on their own, from the space and its probability map, as the
 checks did before they shared anything; every entry must agree byte for
-byte.  The spaces are chosen to make them fail: unchecked spaces with
-negative weights, bad normalization or a non-algebra positive family,
-seeded spaces with 0-2 pins, and generated fields.
+byte.  The suite's measure identities (C5, P6, P8, P10, P11a, P11b, T3, T4a,
+T4b) compare integer numerators; their references read the ``Fraction``
+probability map.  The spaces are chosen to make them fail: unchecked spaces
+with negative weights, bad normalization or a non-algebra positive family,
+seeded spaces with 0-2 pins, generated fields, and spaces that pass the
+axioms but break antisymmetry.
 
 The axioms EP3, EP5, EP5p, EP6, EP7, EP8, EP9 and EP10 compare the space's
 integer numerators and share one normalization pass between EP6 and EP7;
@@ -48,13 +51,9 @@ from epspace.checks import CheckEntry, ValidationReport, _cx, _Facts, _PackedFam
 from epspace.errors import EventNotMeasurableError
 
 from test_checks import UNMEASURABLE_SPACES
-from test_kernel import damaged_spaces, reference_additivity, reference_t2, subsets
+from test_kernel import damaged_spaces, reference_additivity, reference_pmap, reference_t2, subsets
 
 # --- stand-alone reference ----------------------------------------------------
-
-
-def reference_pmap(space):
-    return {event: space.probability(event) for event in space.f}
 
 
 def reference_ep10(space, pmap):
@@ -182,6 +181,18 @@ def reference_l3(space, pmap):
     return CheckEntry("L3", True)
 
 
+def reference_p6(space, pmap):
+    for x in space.f:
+        for y in space.f:
+            joined = x + y
+            if joined not in pmap:
+                return CheckEntry("P6", False, _cx(X=x, Y=y, reason="union not measurable"))
+            draft_value = checks._weight_sum(space, checks.normalize(tuple(x) + tuple(y)))
+            if pmap[joined] != draft_value:
+                return CheckEntry("P6", False, _cx(X=x, Y=y, lhs=pmap[joined], rhs=draft_value))
+    return CheckEntry("P6", True)
+
+
 def reference_p8(space, pmap):
     for event in space.f:
         if pmap[event] != -pmap[-event]:
@@ -216,6 +227,38 @@ def reference_p11b(space, pmap):
         if not -1 <= pmap[event] <= 1:
             return CheckEntry("P11b", False, _cx(event=event, value=pmap[event]))
     return CheckEntry("P11b", True)
+
+
+def reference_t3(space, pmap):
+    for event in space.f:
+        pos, neg = event.split()
+        if pos not in pmap or neg not in pmap or -neg not in pmap:
+            return CheckEntry("T3", False, _cx(event=event, reason="part not measurable"))
+        by_sum = pmap[pos] + pmap[neg]
+        by_diff = pmap[pos] - pmap[-neg]
+        if pmap[event] != by_sum or pmap[event] != by_diff:
+            return CheckEntry("T3", False, _cx(event=event, sum=by_sum, diff=by_diff, value=pmap[event]))
+    return CheckEntry("T3", True)
+
+
+def reference_t4a(space, pmap):
+    omega_plus = space.omega_plus
+    for event in space.f:
+        pos, neg = event.split()
+        comp = space.complement(event)
+        if comp not in pmap:
+            return CheckEntry("T4a", False, _cx(event=event, reason="complement not measurable"))
+        pos_comp = omega_plus - pos
+        anti_comp = omega_plus - (-neg)
+        if pos_comp not in pmap or anti_comp not in pmap:
+            return CheckEntry("T4a", False, _cx(event=event, reason="part complement not measurable"))
+        if pmap[comp] != pmap[pos_comp] - pmap[anti_comp]:
+            return CheckEntry(
+                "T4a",
+                False,
+                _cx(event=event, lhs=pmap[comp], rhs=pmap[pos_comp] - pmap[anti_comp]),
+            )
+    return CheckEntry("T4a", True)
 
 
 def reference_t4b(space, pmap):
@@ -440,12 +483,15 @@ REFERENCE_SUITE = {
     "L10": reference_l10,
     "P3": reference_p3,
     "P5": reference_p5,
+    "P6": reference_p6,
     "P8": reference_p8,
     "P10": reference_p10,
     "P11a": reference_p11a,
     "P11b": reference_p11b,
     "T1": reference_t1,
     "T2": reference_t2,
+    "T3": reference_t3,
+    "T4a": reference_t4a,
     "T4b": reference_t4b,
     "T5": reference_t5,
     "T6": reference_t6,
@@ -538,6 +584,40 @@ def test_hand_built_families_fail_ep4_and_ep10_as_the_reference(drop, extra, ep1
     assert run_theorem_suite(space, ["P3"]).entry("P3") == reference_p3(space, pmap)
 
 
+@pytest.mark.parametrize(
+    "drop, extra, lines",
+    [
+        (None, "a", ["P8 FAIL event=a reason=negation not measurable"]),
+        (
+            "a,b",
+            None,
+            [
+                "T4b FAIL event=a,b reason=not measurable",
+                "P8 FAIL event=-a,-b reason=negation not measurable",
+            ],
+        ),
+        (
+            "-a,-b",
+            None,
+            [
+                "T4b FAIL event=-a,-b reason=not measurable",
+                "P8 FAIL event=a,b reason=negation not measurable",
+            ],
+        ),
+    ],
+)
+def test_hand_built_families_report_unmeasurable_members_in_p8_and_t4b(drop, extra, lines):
+    # The suite reads a negation (P8) and every positive and mirror member
+    # (T4b) that such a family may lack: each is reported, not raised.
+    space = hand_built(drop and Event(drop), extra and Event(extra))
+    report = run_theorem_suite(space)
+    assert len(report) == len(suite_ids())
+    for line in lines:
+        check_id = line.split()[0]
+        assert report.entry(check_id).line() == line
+        assert run_theorem_suite(space, [check_id]).entries == (report.entry(check_id),)
+
+
 def test_an_override_that_breaks_ep10_fails_it_and_t5_as_the_reference():
     space = make_space(ABC, {"a": "1/3", "b": "1/6", "c": "1/2"}).with_override(Event("a,-b"), "1/7")
     assert validate_axioms(space).entry("EP10").line() == "EP10 FAIL event=a,-b lhs=1/6 rhs=1/7"
@@ -591,10 +671,10 @@ COUNTER_MEASURES = {
 def test_entries_match_reference_on_counter_measures(name):
     space = COUNTER_MEASURES[name]()
     assert_matches_reference(space)
-    # The axioms do not imply the antisymmetry P8 and P10 check.
+    # The axioms do not imply the antisymmetry P8, P10, T3 and T4a check.
     assert validate_axioms(space).ok
     failed = {entry.check_id for entry in run_theorem_suite(space).failures()}
-    assert {"P8", "P10"} <= failed
+    assert {"P8", "P10", "T3", "T4a"} <= failed
     if name == "a-above":
         assert {"C5", "P11b"} <= failed
     if name == "a-below":
@@ -734,32 +814,13 @@ def test_restriction_stores_numerators_for_the_positive_family_only():
         assert set(space._numerators) == space.fplus.events
 
 
-@pytest.mark.parametrize(
-    "check_id", ["C1", "C2", "C5", "L1", "L2", "L3", "P1", "P2", "P8", "P9", "P10", "P11a", "P11b"]
-)
+@pytest.mark.parametrize("check_id", suite_ids())
 def test_light_suite_ids_evaluate_no_probability_map(monkeypatch, check_id):
     space = make_space(ABC, {"a": "1/2", "b": "1/4", "c": "1/4"})
     calls = count_calls(monkeypatch, ExtendedSpace, "probability")
     assert run_theorem_suite(space, [check_id]).ok
-    # P9 evaluates its one draft; nothing else is measured.
+    # Every check reads the integer measure; P9 evaluates its one draft.
     assert len(calls) == (1 if check_id == "P9" else 0)
-
-
-def test_only_four_suite_ids_read_the_probability_map(monkeypatch):
-    space = make_space(AB, {"a": "1/2", "b": "1/2"})
-    build = vars(_Facts)["pmap"].func
-    readers = []
-
-    def read_by(check_id):
-        def pmap(facts):
-            readers.append(check_id)
-            return build(facts)
-        return property(pmap)
-
-    for check_id in suite_ids():
-        monkeypatch.setattr(_Facts, "pmap", read_by(check_id))
-        assert run_theorem_suite(space, [check_id]).ok
-    assert sorted(set(readers)) == ["P6", "T3", "T4a", "T4b"]
 
 
 def test_restriction_and_continuity_ids_share_one_probability_map(monkeypatch):
