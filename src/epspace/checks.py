@@ -26,7 +26,11 @@ member's probability over its one common denominator.  A ``Fraction`` is
 built only for a counterexample and on P6's draft side, which sums the
 weights without the memo; besides P9's single draft no check calls
 :meth:`~epspace.measure.ExtendedSpace.probability`.  The classical
-restriction reads the positive family's numerators alone.  EP6 and EP7
+restriction reads the positive family's numerators alone.  Exhaustive
+EP5 and EP5p (and K3, T6 and T7 through them) first try a label-linearity
+certificate, one ``O(3**n)`` pass over the packed family against a subset
+sum table of the weights, and enumerate the ``5**n`` splits only when it
+fails, so a failing report keeps its least counterexample.  EP6 and EP7
 share one normalization pass over the annihilation probes, and EP7
 evaluates only the probes whose draft does not normalize back to the event:
 a draft's probability is that of its normal form, so every other probe
@@ -200,6 +204,42 @@ def _picker(indices):
 
 def _additivity(check_id: str, family: _PackedFamily, facts: _Facts) -> CheckEntry:
     """P(A) + P(B) == P(A | B) over every disjoint pair with union in the family.
+
+    The label-linearity certificate runs first; only a family it does not
+    certify enumerates its splits, which keeps the least counterexample.
+    """
+    if _label_linear(family, facts):
+        return CheckEntry(check_id, True)
+    return _first_failing_split(check_id, family, facts)
+
+
+def _label_linear(family: _PackedFamily, facts: _Facts) -> bool:
+    """Whether every member's numerator is its signed label sum.
+
+    One ``2**n`` subset-sum table over the codec's labels gives each mask
+    ``table[pos] - table[neg]``, which is additive over any two disjoint
+    masks, whatever the weights.  Every split :func:`_first_failing_split`
+    tests is such a pair of sub-masks of a member, so a family whose
+    numerators all equal their table values passes it: ``O(3**n)`` instead
+    of ``5**n``.  Sufficient, not necessary: pins and counter-measures fail
+    it and take the enumeration.  The numerators are the measure's own,
+    read through the packed family, never derived from the table.
+    """
+    codec = family.codec
+    n, low = codec.n, codec.low
+    weights = facts.space._weight_numerators
+    table = [0]
+    for label in codec.labels:
+        w = weights.get(label, 0)
+        table += [t + w for t in table]
+    return all(
+        value == table[m & low] - table[m >> n]
+        for m, value in zip(family.masks, family.numerators)
+    )
+
+
+def _first_failing_split(check_id: str, family: _PackedFamily, facts: _Facts) -> CheckEntry:
+    """Enumerate every disjoint split, the fallback of :func:`_additivity`.
 
     Every such pair partitions its union, so enumerating the ordered two-part
     splits of each member is exhaustive: ``5**n`` splits over the ``3**n``
@@ -471,7 +511,9 @@ class _Facts:
     which K1-K3, L10 and T5-T7 read too.  Each is computed on first read and
     kept for the rest of the report.  Every check compares integer
     numerators; :meth:`fraction` turns one into the ``Fraction`` a
-    counterexample shows.  ``trials`` and ``seed`` select sampled probes for
+    counterexample shows.  The packed families are what exhaustive EP5 and
+    EP5p certify or, failing that, enumerate; sampled EP5 packs nothing.
+    ``trials`` and ``seed`` select sampled probes for
     EP5, EP6, EP7 and EP10; the classical restriction and the suite never
     sample, so the entries they read are exhaustive.
     """
@@ -1182,6 +1224,9 @@ def suite_ids() -> tuple:
 def run_theorem_suite(space: ExtendedSpace, ids: "Iterable[str] | None" = None) -> ValidationReport:
     """Run the catalogued identity checks (all of them, or a chosen subset).
 
+    A chosen subset runs in report order, each id once however often it is
+    named.
+
     Exhaustive over the space's measurable family of N members: L4
     enumerates all N**3 member triples, the pair checks all N**2 pairs.  The
     triple and most pair loops run on the packed family of the call's
@@ -1195,7 +1240,7 @@ def run_theorem_suite(space: ExtendedSpace, ids: "Iterable[str] | None" = None) 
     if ids is None:
         selected = list(_SUITE)
     else:
-        selected = list(ids)
+        selected = list(dict.fromkeys(ids))
         unknown = [check_id for check_id in selected if check_id not in _SUITE]
         if unknown:
             raise ValueError(f"unknown suite id(s): {', '.join(unknown)}")

@@ -9,8 +9,9 @@ Subcommands::
     epspace calc --op union|intersect|diff --left TEXT --right TEXT
     epspace fuzz --atoms N --trials T [--seed S]
 
-Exit codes: 0 on success / all-pass, 1 on any FAIL or evaluation error,
-2 on usage or parse errors.  ``fuzz`` takes its default seed from the
+Exit codes: 0 on success / all-pass, 1 on any FAIL or evaluation error
+(and, from :func:`main`, when the reader closes stdout early), 2 on usage
+or parse errors.  ``fuzz`` takes its default seed from the
 ``EPSPACE_SEED`` environment variable when ``--seed`` is absent.
 """
 
@@ -37,7 +38,8 @@ _CALC_OPS = {
 }
 
 # Fuzz trials switch the validator to sampling past this size; exhaustive
-# additivity enumerates 5**n split pairs.
+# additivity enumerates 5**n split pairs on any space its certificate does
+# not pass.
 _EXHAUSTIVE_ATOM_LIMIT = 5
 _SAMPLED_TRIALS = 400
 
@@ -224,7 +226,16 @@ def run_cli(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    try:
+        code = run_cli()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``epspace enumerate ... | head``).
+        # Point stdout at devnull so the flush at shutdown cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -274,6 +274,12 @@ def test_suite_subset_selection(half_space):
     assert report.entry("P10").passed
 
 
+def test_suite_runs_a_repeated_id_once(half_space):
+    report = run_theorem_suite(half_space, ["P6", "L6", "P6", "L6"])
+    assert [entry.check_id for entry in report] == ["L6", "P6"]
+    assert report == run_theorem_suite(half_space, ["L6", "P6"])
+
+
 def test_suite_rejects_unknown_id(half_space):
     with pytest.raises(ValueError):
         run_theorem_suite(half_space, ["P99"])

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from epspace.cli import run_cli
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 SPACE_DOC = """{
   "omega_plus": ["a", "b", "c"],
@@ -209,6 +215,12 @@ def test_check_multiple_ids_case_insensitive(capsys, space_file):
     assert out == "L6 PASS\nP8 PASS\n"
 
 
+def test_check_repeated_id_runs_once(capsys, space_file):
+    code, out, _ = run(capsys, "check", space_file, "--suite", "P6,p6,L6")
+    assert code == 0
+    assert out == "L6 PASS\nP6 PASS\n"
+
+
 def test_check_all(capsys, space_file):
     code, out, _ = run(capsys, "check", space_file)
     assert code == 0
@@ -251,6 +263,35 @@ def test_enumerate_negative_limit_exits_two(capsys, space_file):
     code, _, err = run(capsys, "enumerate", space_file, "--limit", "-1")
     assert code == 2
     assert "non-negative" in err
+
+
+def test_enumerate_into_a_closed_pipe_exits_quietly(tmp_path):
+    # 6,561 events overflow a 64 KiB pipe buffer, so the writer still has
+    # output when the reader closes the pipe after one line.
+    labels = [f"atom{i}" for i in range(8)]
+    path = tmp_path / "eight.json"
+    path.write_text(
+        json.dumps({
+            "omega_plus": labels,
+            "weights": {label: "1/8" for label in labels},
+            "algebra": "powerset",
+        }),
+        encoding="utf-8",
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    err = tmp_path / "stderr"
+    with err.open("wb") as sink:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "epspace.cli", "enumerate", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=sink,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"{}\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+    assert err.read_bytes() == b""
 
 
 # --- calc ---------------------------------------------------------------------

@@ -18,7 +18,10 @@ The axioms EP3, EP5, EP5p, EP6, EP7, EP8, EP9 and EP10 compare the space's
 integer numerators and share one normalization pass between EP6 and EP7;
 their references below read the ``Fraction`` probability map and evaluate
 every annihilation draft, exhaustive and sampled, also under a
-``normalize`` that leaves one label's pair standing.
+``normalize`` that leaves one label's pair standing.  Exhaustive EP5 and
+EP5p pass on the label-linearity certificate alone when it holds; on every
+space here that must imply the split loop's pass, and switching the
+certificate off must leave every report unchanged.
 """
 
 from __future__ import annotations
@@ -510,6 +513,33 @@ def assert_matches_reference(space):
     for check_id, reference in REFERENCE_SUITE.items():
         assert suite.entry(check_id) == reference(space, pmap), check_id
         assert run_theorem_suite(space, [check_id]).entries == (suite.entry(check_id),)
+    assert_certificate_sound(space)
+
+
+def certificate_outputs(space):
+    """Every report exhaustive EP5 or EP5p decides, as text and JSON."""
+    reports = (
+        validate_axioms(space),
+        validate_axioms(space, trials=5, seed=1),
+        check_kolmogorov_restriction(space),
+        run_theorem_suite(space, ["T6", "T7"]),
+    )
+    return [(report.text(), report.as_json()) for report in reports]
+
+
+def assert_certificate_sound(space):
+    """A family the label-linearity certificate passes also passes the split
+    loop, and with the certificate switched off no report changes a byte."""
+    pmap, facts = reference_pmap(space), _Facts(space)
+    for check_id, members in (("EP5", space.f), ("EP5p", space.fplus)):
+        if members.events <= space.f.events:
+            family = _PackedFamily(space, members)
+            if checks._label_linear(family, facts):
+                assert reference_packed_additivity(check_id, family, pmap).passed, check_id
+    certified = certificate_outputs(space)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checks, "_label_linear", lambda family, facts: False)
+        assert certificate_outputs(space) == certified
 
 
 # --- spaces ---------------------------------------------------------------------
@@ -706,6 +736,30 @@ def test_entries_match_reference_on_unchecked_families(space):
     assert_matches_reference(space)
 
 
+# --- the label-linearity certificate ----------------------------------------------
+
+
+@settings(max_examples=40)
+@given(damaged_spaces(max_atoms=5))
+def test_certificate_is_sound_on_pinned_spaces(space):
+    assert_certificate_sound(space)
+
+
+def test_a_pin_off_the_label_sum_fails_the_certificate_and_ep5_reports_the_least_split():
+    space = make_space(ABC, {"a": "1/2", "b": "1/3", "c": "1/6"})
+    for member in space.f:
+        value = space.probability(member)
+        kept = space.with_override(member, value)
+        assert checks._label_linear(_PackedFamily(kept, kept.f), _Facts(kept))
+        assert validate_axioms(kept).entry("EP5").passed
+        pinned = space.with_override(member, value + Fraction(1, 12))
+        family = _PackedFamily(pinned, pinned.f)
+        assert not checks._label_linear(family, _Facts(pinned))
+        entry = validate_axioms(pinned).entry("EP5")
+        assert not entry.passed
+        assert entry == reference_packed_additivity("EP5", family, reference_pmap(pinned))
+
+
 # --- a normalize that leaves one pair standing ----------------------------------
 
 
@@ -843,3 +897,14 @@ def test_full_suite_builds_the_mirror_and_field_verdicts_once(monkeypatch):
     # One verdict for the positive family, one for its mirror (T1).
     assert [args[0] for args in fields] == [space.fplus, mirror_family(space.fplus)]
 
+
+def test_exhaustive_additivity_enumerates_splits_only_without_a_certificate(monkeypatch):
+    labels = tuple("abcdef")
+    space = make_space(labels, {label: Fraction(i + 1, 21) for i, label in enumerate(labels)})
+    loops = count_calls(monkeypatch, checks, "_first_failing_split")
+    assert validate_axioms(space).ok
+    assert check_kolmogorov_restriction(space).ok
+    assert loops == []
+    pinned = space.with_override(Event("a,b"), Fraction(1, 2))
+    assert not validate_axioms(pinned).ok
+    assert [args[0] for args in loops] == ["EP5", "EP5p"]
