@@ -19,8 +19,12 @@ powerset over ``n`` labels the composition has exactly ``3**n`` members
 It pairs the members as packed ints (:class:`LabelMask`) and emits the
 composition already in canonical order, so iterating it sorts nothing.
 
-All checks are exhaustive over the explicit finite families; that is the
-point of this module, so no lazy representations.
+A space's composed family is built the first time it is read
+(:meth:`Family._composed_on_read`).  Until then membership is answered from
+the positive family alone, so evaluating one event never composes the
+``3**n`` members.  Everything else is exhaustive over explicit finite
+families; :func:`is_set_ring` decides from a family's atoms, its minimal
+nonzero members.
 """
 
 from __future__ import annotations
@@ -88,6 +92,8 @@ class Family:
 
     ``kind`` is descriptive metadata ("plain", "positive-algebra",
     "negative-mirror", "composed") and does not take part in equality.
+    A family from :meth:`_composed_on_read` has no ``events`` until it is
+    first read; only membership is answered before that.
     """
 
     events: frozenset
@@ -108,6 +114,35 @@ class Family:
         object.__setattr__(family, "_ordered", ordered)
         return family
 
+    @classmethod
+    def _composed_on_read(cls, fplus: "Family", compose) -> "Family":
+        """The composition of the positive family ``fplus``, built by
+        ``compose(fplus)`` the first time it is read.
+
+        Until then ``event in family`` is decided from ``fplus`` alone: the
+        event's positive part and its negated negative part must both be
+        members, which is :func:`compose_family`'s definition, whether or not
+        ``fplus`` is an algebra.  Reading ``events``, iterating, ``len``,
+        ``==``, ``hash`` and ``repr`` build the family and see exactly what
+        ``compose(fplus)`` returns, in its order.
+        """
+        family = object.__new__(cls)
+        object.__setattr__(family, "kind", "composed")
+        object.__setattr__(family, "_unbuilt", (fplus, compose))
+        return family
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks, which for a
+        # composition not yet built includes its events and its order.
+        unbuilt = self.__dict__.get("_unbuilt")
+        if unbuilt is None or name not in ("events", "_ordered"):
+            raise AttributeError(name)
+        fplus, compose = unbuilt
+        built = compose(fplus)
+        object.__setattr__(self, "_ordered", tuple(built))
+        object.__setattr__(self, "events", built.events)
+        return getattr(self, name)
+
     def __iter__(self) -> Iterator[Event]:
         # The canonical order is sorted on first use (or given by _in_order)
         # and kept on the instance, outside the dataclass fields, so equality
@@ -123,7 +158,12 @@ class Family:
         return len(self.events)
 
     def __contains__(self, event: Event) -> bool:
-        return event in self.events
+        try:
+            events = self.__dict__["events"]
+        except KeyError:
+            members = self._unbuilt[0].events
+            return event.positive_part in members and -event.negative_part in members
+        return event in events
 
     def issubset(self, other: "Family") -> bool:
         return self.events <= other.events
@@ -137,12 +177,12 @@ class Family:
 
 
 def _require_homogeneous(family: Family) -> None:
-    for member in family:
-        if member.positive_labels and member.negative_labels:
-            raise ValueError(
-                f"mixed-sign member {member.text()!r}: ring/algebra predicates "
-                "apply to sign-homogeneous families"
-            )
+    mixed = [member for member in family.events if member.positive_labels and member.negative_labels]
+    if mixed:
+        raise ValueError(
+            f"mixed-sign member {min(mixed, key=canonical_key).text()!r}: ring/algebra "
+            "predicates apply to sign-homogeneous families"
+        )
 
 
 def is_set_ring(family: Family) -> bool:
@@ -151,10 +191,14 @@ def is_set_ring(family: Family) -> bool:
     For finite families this is equivalent to closure under union,
     intersection, and difference.  Members must be sign-homogeneous.
 
-    Every ordered pair is tested on packed members (:class:`LabelMask`):
-    ``a & b`` and ``a ^ b`` must be member keys.  A symmetric difference
-    that would give a label both signs is never a member key, so that case
-    needs no test of its own.
+    Decided on packed members (:class:`LabelMask`) from the family's atoms,
+    its minimal nonzero members, in ``O(|F| * k)`` for ``k`` atoms.  Taken
+    in popcount order, a member with no earlier atom below it is an atom.
+    A nonempty family is a ring iff its atoms are pairwise disjoint, every
+    member is a union of atoms, and it has ``2**k`` members: then it holds
+    every union of its atoms (the empty event too), and those are closed
+    under ``&`` and ``^``.  A symmetric difference that would give a label
+    both signs is never a member key, so that case needs no test of its own.
     """
     _require_homogeneous(family)
     labels: set[str] = set()
@@ -162,11 +206,24 @@ def is_set_ring(family: Family) -> bool:
         labels |= member.positive_labels | member.negative_labels
     codec = LabelMask(sorted(labels))
     keys = {codec.encode(member) for member in family.events}
-    for a in keys:
-        for b in keys:
-            if (a & b) not in keys or (a ^ b) not in keys:
+    if not keys:
+        return True
+    atoms: list[int] = []
+    covered = 0
+    for key in sorted(keys, key=int.bit_count):
+        below = 0
+        for atom in atoms:
+            if atom & key == atom:
+                below |= atom
+        if below:
+            if below != key:
                 return False
-    return True
+        elif key:
+            if key & covered:
+                return False
+            atoms.append(key)
+            covered |= key
+    return len(keys) == 1 << len(atoms)
 
 
 def is_set_algebra(family: Family) -> tuple[bool, Event | None]:
@@ -192,12 +249,12 @@ def _algebra_verdict(family: Family) -> tuple[bool, Event | None]:
         return (False, None)
     candidate = reduce(
         lambda acc, e: None if acc is None else plain_union(acc, e),
-        family,
+        family.events,
         Event(),
     )
     if candidate is None or candidate not in family.events:
         return (False, None)
-    for member in family:
+    for member in family.events:
         if (member & candidate) != member:
             return (False, None)
     return (True, candidate)

@@ -11,8 +11,11 @@ The arithmetic is exact integers: a space keeps one common denominator, the
 lcm of its weights' and overrides' denominators, and a memo from member to
 integer numerator over it, filled on demand.  ``probability`` returns the
 ``Fraction`` ``numerator / denominator``, so ``Fraction``s appear only at the
-API and in reports.  There is no floating point in this module, and every
-identity the validator checks holds exactly or not at all.
+API and in reports.  :func:`make_space` leaves the measurable family unbuilt:
+``probability`` asks only whether an event is a member, which the positive
+family answers, so evaluating an event or checking the classical restriction
+never composes the ``3**n`` members.  There is no floating point in this
+module, and every identity the validator checks holds exactly or not at all.
 
 ``with_override`` pins chosen events to arbitrary values.  It exists only so
 the axiom validator in :mod:`epspace.checks` can demonstrate failures on
@@ -34,7 +37,7 @@ from .errors import (
     NormalizationError,
     SchemaError,
 )
-from .events import Draft, Event, annihilating_union, normalize
+from .events import Draft, Event, annihilating_union, canonical_key, normalize
 from .families import Family, GroundSet, compose_family, is_set_algebra, is_set_field, powerset_family
 
 __all__ = ["ExtendedSpace", "make_space", "as_fraction", "positive_family_is_field"]
@@ -97,8 +100,11 @@ class ExtendedSpace:
     """A ground set, its positive algebra, the composed measurable family, and weights.
 
     Construct through :func:`make_space`, which validates every invariant and
-    derives the composed family.  Immutable, ``weights`` and ``overrides``
-    included (read-only mappings); safe to share between threads.
+    derives the composed family, composed when first read.  The constructor
+    itself checks only that ``weights`` has exactly the ground labels.
+    Immutable, ``weights`` and ``overrides`` included (read-only mappings);
+    safe to share between threads: two threads that both build the family
+    first build equal ones.
 
     The measure is kept as integers outside the dataclass fields, so equality
     and :meth:`with_override` never see it: ``_denominator`` is the lcm of
@@ -115,6 +121,7 @@ class ExtendedSpace:
     overrides: Mapping[Event, Fraction] = field(default_factory=lambda: MappingProxyType({}))
 
     def __post_init__(self) -> None:
+        _check_weight_labels(self.ground, self.weights)
         values = (*self.weights.values(), *self.overrides.values())
         denominator = math.lcm(*(value.denominator for value in values))
 
@@ -182,7 +189,8 @@ class ExtendedSpace:
     def with_override(self, event: Event, value) -> "ExtendedSpace":
         """Fault-injection hook: pin ``P(event)`` to an arbitrary exact value.
 
-        Returns a new space; the validator is expected to flag the damage.
+        Returns a new space that shares this one's families, built or not;
+        the validator is expected to flag the damage.
         """
         if event not in self.f:
             raise EventNotMeasurableError(
@@ -197,6 +205,22 @@ class ExtendedSpace:
             f=self.f,
             overrides=MappingProxyType(pinned),
         )
+
+
+def _compose(fplus: Family) -> Family:
+    """``compose_family(fplus)``, looked up when a space's measurable family is
+    first read, so the binding in this module at that moment composes it."""
+    return compose_family(fplus)
+
+
+def _check_weight_labels(ground: GroundSet, weights: Mapping[str, object]) -> None:
+    """Every ground label has a weight, and every weight a ground label."""
+    missing = [l for l in ground.labels if l not in weights]
+    if missing:
+        raise SchemaError("missing weight(s) for label(s): " + ", ".join(missing))
+    unknown = sorted(set(weights) - set(ground.labels))
+    if unknown:
+        raise SchemaError("weight(s) for unknown label(s): " + ", ".join(unknown))
 
 
 def make_space(
@@ -219,12 +243,7 @@ def make_space(
     converted: dict[str, Fraction] = {}
     for label, value in weights.items():
         converted[label] = as_fraction(value, where=f"weight for {label!r}")
-    missing = [l for l in ground.labels if l not in converted]
-    if missing:
-        raise SchemaError("missing weight(s) for label(s): " + ", ".join(missing))
-    unknown = sorted(set(converted) - set(ground.labels))
-    if unknown:
-        raise SchemaError("weight(s) for unknown label(s): " + ", ".join(unknown))
+    _check_weight_labels(ground, converted)
 
     if check:
         for label in ground.labels:
@@ -242,12 +261,13 @@ def make_space(
         fplus = Family(frozenset(fplus), "positive-algebra")
 
     omega = ground.omega_plus
-    for member in fplus:
-        if not member.is_positive or not member.issubset(omega):
-            raise AlgebraError(
-                f"family member {member.text()!r} is not a subset of the "
-                f"positive universe {omega.text()!r}"
-            )
+    outside = [member for member in fplus.events if not member.issubset(omega)]
+    if outside:
+        member = min(outside, key=canonical_key)
+        raise AlgebraError(
+            f"family member {member.text()!r} is not a subset of the "
+            f"positive universe {omega.text()!r}"
+        )
     if check:
         ok, _unit = is_set_algebra(fplus)
         if not ok:
@@ -262,7 +282,7 @@ def make_space(
         ground=ground,
         weights=MappingProxyType(converted),
         fplus=fplus,
-        f=compose_family(fplus),
+        f=Family._composed_on_read(fplus, _compose),
     )
 
 

@@ -9,6 +9,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from epspace import (
+    AlgebraError,
     Event,
     Family,
     GroundSet,
@@ -97,6 +98,13 @@ def test_ring_missing_empty():
 def test_ring_rejects_mixed_sign_member():
     with pytest.raises(ValueError):
         is_set_ring(Family.of(Event("a,-b")))
+
+
+def test_rejections_name_the_least_offending_member():
+    with pytest.raises(ValueError, match="^mixed-sign member 'a,-b':"):
+        is_set_ring(Family.of(Event(), Event("c,-d"), Event("-a,b,c"), Event("a,-b")))
+    with pytest.raises(AlgebraError, match="^family member '-a' is not a subset"):
+        make_space(("a", "b"), {"a": "1/2", "b": "1/2"}, [Event(), Event("-b"), Event("a,-b"), Event("-a")])
 
 
 def test_ring_equivalent_to_union_inter_diff_closure():

@@ -394,6 +394,36 @@ def test_is_set_ring_matches_reference_on_every_three_label_family():
             assert is_set_ring(mirrored) == reference_is_set_ring(mirrored)
 
 
+def near_rings(labels, generators):
+    """The algebra the generators span over ``labels``, then each family one
+    member short of it and each one subset past it."""
+    pool = subsets(labels)
+    algebra = generate_algebra([Event(g) for g in generators], pool[-1])
+    yield algebra
+    for member in algebra.events:
+        yield Family(algebra.events - {member})
+    for extra in pool:
+        if extra not in algebra.events:
+            yield Family(algebra.events | {extra})
+
+
+@pytest.mark.parametrize(
+    "labels, generators",
+    [
+        ("abcd", []),
+        ("abcd", ["a", "b", "c"]),
+        ("abcd", ["a,b", "b,c"]),
+        ("abcde", ["a,b", "c,d"]),
+        ("abcde", ["a,b,c", "c,d", "e"]),
+        ("abcde", ["a", "b", "c", "d"]),
+    ],
+)
+def test_is_set_ring_matches_reference_on_rings_and_near_rings(labels, generators):
+    for family in near_rings(labels, generators):
+        for candidate in (family, mirror_family(family)):
+            assert is_set_ring(candidate) == reference_is_set_ring(candidate), candidate
+
+
 @given(st.lists(events, max_size=6), st.permutations("abcd"))
 def test_label_mask_round_trips(sample, order):
     codec = LabelMask(order)

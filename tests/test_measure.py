@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from itertools import product
 
 import hypothesis.strategies as st
 import pytest
@@ -12,12 +14,14 @@ from epspace import (
     AlgebraError,
     Event,
     EventNotMeasurableError,
+    ExtendedSpace,
     Family,
     GroundSet,
     NonNegativityError,
     NormalizationError,
     SchemaError,
     check_kolmogorov_restriction,
+    compose_family,
     generate_algebra,
     make_space,
     positive_family_is_field,
@@ -25,10 +29,14 @@ from epspace import (
     run_theorem_suite,
     validate_axioms,
 )
+from epspace import measure
 from epspace.checks import _Facts
+from epspace.cli import run_cli
 from epspace.events import Atom, LabelMask
 
 from conftest import LABELS, spaces
+from test_checks import UNMEASURABLE_SPACES
+from test_facts import UNCHECKED, count_calls, unchecked_families
 from test_kernel import damaged_spaces, subsets
 
 
@@ -111,6 +119,26 @@ def test_make_space_rejects_family_outside_universe():
 def test_unchecked_space_allows_injected_faults():
     space = make_space(("a", "b"), {"a": "3/2", "b": "-1/2"}, check=False)
     assert space.probability(Event("b")) == Fraction(-1, 2)
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ({"a": Fraction(1, 2), "b": Fraction(1, 2)}, "missing weight(s) for label(s): c"),
+        (
+            {"a": Fraction(1, 2), "b": Fraction(1, 4), "c": Fraction(1, 4), "d": Fraction(0)},
+            "weight(s) for unknown label(s): d",
+        ),
+    ],
+)
+def test_constructor_rejects_weights_off_the_ground_labels(abc_space, weights, message):
+    # The constructor and make_space refuse the same weights with one message.
+    with pytest.raises(SchemaError) as raised:
+        ExtendedSpace(abc_space.ground, weights, abc_space.fplus, abc_space.f)
+    assert str(raised.value) == message
+    with pytest.raises(SchemaError) as raised:
+        make_space(abc_space.ground, weights)
+    assert str(raised.value) == message
 
 
 # --- evaluation -------------------------------------------------------------
@@ -347,3 +375,89 @@ def test_space_equality_and_ground():
     again = make_space(GroundSet(("a", "b")), {"a": Fraction(1, 2), "b": "0.5"})
     assert space == again
     assert space.ground.labels == ("a", "b")
+
+
+# --- the measurable family, composed on first read ----------------------------
+
+
+def signed_events(labels):
+    """Every event over ``labels``: each label absent, positive or negative."""
+    for signs in product((None, True, False), repeat=len(labels)):
+        yield Event(Atom(label, sign) for label, sign in zip(labels, signs) if sign is not None)
+
+
+def assert_membership_matches_composition(space):
+    """Before it is built, the measurable family of a fresh space over the same
+    positive family holds exactly the events of ``compose_family``; built, it
+    is that composition in its order."""
+    fresh = make_space(space.ground, space.weights, space.fplus, check=False)
+    expected = compose_family(space.fplus)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_calls(patch, measure, "compose_family")
+        for event in signed_events(space.ground.labels):
+            assert (event in fresh.f) == (event in expected.events), event.text()
+        assert calls == []
+        assert tuple(fresh.f) == tuple(expected)
+        assert len(calls) == 1
+    assert fresh.f == expected and hash(fresh.f) == hash(expected)
+    assert repr(fresh.f) == repr(expected) and len(fresh.f) == len(expected)
+
+
+@pytest.mark.parametrize("name", sorted(UNCHECKED))
+def test_membership_before_building_on_unchecked_spaces(name):
+    assert_membership_matches_composition(UNCHECKED[name]())
+
+
+@pytest.mark.parametrize("name", sorted(UNMEASURABLE_SPACES))
+def test_membership_before_building_without_the_empty_or_full_event(name):
+    assert_membership_matches_composition(UNMEASURABLE_SPACES[name]())
+
+
+@pytest.mark.parametrize(
+    "labels, generators",
+    [("a", []), ("abc", ["a"]), ("abcd", ["a,b", "c"]), ("abcd", ["a,b,c", "b,c,d"])],
+)
+def test_membership_before_building_on_generated_fields(labels, generators):
+    fplus = generate_algebra([Event(g) for g in generators], Event(",".join(labels)))
+    weights = {label: Fraction(1, len(labels)) for label in labels}
+    assert_membership_matches_composition(make_space(tuple(labels), weights, fplus))
+
+
+@settings(max_examples=40)
+@given(unchecked_families())
+def test_membership_before_building_on_unchecked_families(space):
+    assert_membership_matches_composition(space)
+
+
+@settings(max_examples=40)
+@given(damaged_spaces(max_atoms=4))
+def test_membership_before_building_on_damaged_spaces(space):
+    assert_membership_matches_composition(space)
+
+
+EIGHT = tuple(f"a{i}" for i in range(8))
+
+
+def test_evaluation_and_the_classical_restriction_compose_nothing(monkeypatch, tmp_path, capsys):
+    calls = count_calls(monkeypatch, measure, "compose_family")
+    space = make_space(EIGHT, {label: Fraction(1, 8) for label in EIGHT})
+    assert space.probability(Event("a0,-a3,a7")) == Fraction(1, 8)
+    assert space.draft_probability("a1,-a1,a2") == Fraction(1, 8)
+    pinned = space.with_override(Event("a0,-a1"), "1/3")
+    assert pinned.f is space.f
+    assert pinned.probability(Event("a0,-a1")) == Fraction(1, 3)
+    assert check_kolmogorov_restriction(space).ok
+    assert not check_kolmogorov_restriction(pinned.with_override(Event("a0"), "-1")).ok
+    document = tmp_path / "eight.json"
+    document.write_text(
+        json.dumps({"omega_plus": EIGHT, "weights": dict.fromkeys(EIGHT, "1/8"), "algebra": "powerset"}),
+        encoding="utf-8",
+    )
+    assert run_cli(["eval", str(document), "--event", "a0,-a5"]) == 0
+    assert run_cli(["check", str(document), "--suite", "kolmogorov"]) == 0
+    assert capsys.readouterr().out == "0 (= 0.0)\nK1 PASS\nK2 PASS\nK3 PASS\n"
+    assert calls == []
+    assert validate_axioms(space).ok
+    assert len(calls) == 1
+    assert run_cli(["enumerate", str(document), "--limit", "2"]) == 0
+    assert len(calls) == 2
