@@ -13,8 +13,9 @@ pass/fail entries with concrete counterexamples:
 * :func:`run_theorem_suite` -- every catalogued algebraic/measure identity
   (ids C1..C5, L1..L11, P1..P11b, T1..T7), checked exhaustively over the
   space's measurable family.  Quantified checks enumerate all members,
-  pairs, or triples; the full suite on an n-atom powerset takes about 0.3 s
-  at n = 4, 3 s at n = 5 and 35 s at n = 6 (2-core x86 VM, CPython 3.11).
+  pairs, or triples; the full suite on an n-atom powerset takes about
+  0.2-0.3 s at n = 4, 2.3-2.8 s at n = 5 and 30 s at n = 6, two thirds of it
+  P6 (2-core Xeon x86 VM, CPython 3.11.7).
   Duplicate-numbered results are split as T4a/T4b and P11a/P11b.
 
 Each producer builds one :class:`_Facts` per call, the only argument of

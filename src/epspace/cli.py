@@ -13,6 +13,9 @@ Exit codes: 0 on success / all-pass, 1 on any FAIL or evaluation error
 (and, from :func:`main`, when the reader closes stdout early), 2 on usage
 or parse errors.  ``fuzz`` takes its default seed from the
 ``EPSPACE_SEED`` environment variable when ``--seed`` is absent.
+
+A call builds only the parser of the command it runs; usage errors and
+``--help`` read exactly as from the full parser (:func:`build_parser`).
 """
 
 from __future__ import annotations
@@ -44,55 +47,6 @@ _EXHAUSTIVE_ATOM_LIMIT = 5
 _SAMPLED_TRIALS = 400
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="epspace",
-        description="Signed sample spaces with annihilation and exact extended probabilities.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_validate = sub.add_parser("validate", help="check the axioms on a space file")
-    p_validate.add_argument("file")
-    p_validate.add_argument("--json", action="store_true", help="structured report")
-    p_validate.add_argument("--sample", type=int, metavar="N", default=None,
-                            help="sample N probes instead of exhausting the family")
-    p_validate.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p_validate.set_defaults(func=_cmd_validate)
-
-    p_eval = sub.add_parser("eval", help="evaluate the probability of an event")
-    p_eval.add_argument("file")
-    p_eval.add_argument("--event", required=True, metavar="TEXT",
-                        help="comma-separated signed labels, e.g. a,-b")
-    p_eval.set_defaults(func=_cmd_eval)
-
-    p_check = sub.add_parser("check", help="run the identity suite on a space file")
-    p_check.add_argument("file")
-    p_check.add_argument("--suite", default="all", metavar="IDS",
-                         help='"all", "kolmogorov", or comma-separated ids like P10,L6')
-    p_check.add_argument("--json", action="store_true", help="structured report")
-    p_check.set_defaults(func=_cmd_check)
-
-    p_enum = sub.add_parser("enumerate", help="list every measurable event in canonical order")
-    p_enum.add_argument("file")
-    p_enum.add_argument("--limit", type=int, default=None, metavar="N")
-    p_enum.set_defaults(func=_cmd_enumerate)
-
-    p_calc = sub.add_parser("calc", help="pure event algebra, no space file needed")
-    p_calc.add_argument("--op", required=True, choices=sorted(_CALC_OPS))
-    p_calc.add_argument("--left", required=True, metavar="TEXT")
-    p_calc.add_argument("--right", required=True, metavar="TEXT")
-    p_calc.set_defaults(func=_cmd_calc)
-
-    p_fuzz = sub.add_parser("fuzz", help="validate seeded random spaces")
-    p_fuzz.add_argument("--atoms", type=int, required=True, metavar="N")
-    p_fuzz.add_argument("--trials", type=int, required=True, metavar="T")
-    p_fuzz.add_argument("--seed", type=int, default=None,
-                        help="defaults to $EPSPACE_SEED, then 0")
-    p_fuzz.set_defaults(func=_cmd_fuzz)
-
-    return parser
-
-
 def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -113,6 +67,14 @@ def _print_report(report, as_json: bool) -> int:
     return 0 if report.ok else 1
 
 
+def _validate_arguments(parser) -> None:
+    parser.add_argument("file")
+    parser.add_argument("--json", action="store_true", help="structured report")
+    parser.add_argument("--sample", type=int, metavar="N", default=None,
+                        help="sample N probes instead of exhausting the family")
+    parser.add_argument("--seed", type=int, default=0, help="sampling seed")
+
+
 def _cmd_validate(args) -> int:
     if args.sample is not None and args.sample < 1:
         print("epspace: --sample must be at least 1", file=sys.stderr)
@@ -122,11 +84,24 @@ def _cmd_validate(args) -> int:
     return _print_report(report, args.json)
 
 
+def _eval_arguments(parser) -> None:
+    parser.add_argument("file")
+    parser.add_argument("--event", required=True, metavar="TEXT",
+                        help="comma-separated signed labels, e.g. a,-b")
+
+
 def _cmd_eval(args) -> int:
     space = _load(args.file)
     value = space.draft_probability(parse_draft(args.event))
     print(f"{value} (= {float(value)})")
     return 0
+
+
+def _check_arguments(parser) -> None:
+    parser.add_argument("file")
+    parser.add_argument("--suite", default="all", metavar="IDS",
+                        help='"all", "kolmogorov", or comma-separated ids like P10,L6')
+    parser.add_argument("--json", action="store_true", help="structured report")
 
 
 def _cmd_check(args) -> int:
@@ -149,17 +124,25 @@ def _cmd_check(args) -> int:
     return _print_report(report, args.json)
 
 
+def _enumerate_arguments(parser) -> None:
+    parser.add_argument("file")
+    parser.add_argument("--limit", type=int, default=None, metavar="N")
+
+
 def _cmd_enumerate(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        print("epspace: --limit must be non-negative", file=sys.stderr)
+        return 2
     space = _load(args.file)
-    events = tuple(space.f)
-    if args.limit is not None:
-        if args.limit < 0:
-            print("epspace: --limit must be non-negative", file=sys.stderr)
-            return 2
-        events = events[: args.limit]
-    for event in events:
+    for event in tuple(space.f)[: args.limit]:
         print(event.text())
     return 0
+
+
+def _calc_arguments(parser) -> None:
+    parser.add_argument("--op", required=True, choices=sorted(_CALC_OPS))
+    parser.add_argument("--left", required=True, metavar="TEXT")
+    parser.add_argument("--right", required=True, metavar="TEXT")
 
 
 def _cmd_calc(args) -> int:
@@ -168,6 +151,13 @@ def _cmd_calc(args) -> int:
     result = _CALC_OPS[args.op](left, right)
     print(result.text())
     return 0
+
+
+def _fuzz_arguments(parser) -> None:
+    parser.add_argument("--atoms", type=int, required=True, metavar="N")
+    parser.add_argument("--trials", type=int, required=True, metavar="T")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="defaults to $EPSPACE_SEED, then 0")
 
 
 def _cmd_fuzz(args) -> int:
@@ -205,11 +195,57 @@ def _cmd_fuzz(args) -> int:
     return 0 if failures == 0 else 1
 
 
+# name -> (help, add_arguments, handler): the one place each command's
+# arguments are declared, in the order the usage lists the commands.
+_COMMANDS = {
+    "validate": ("check the axioms on a space file", _validate_arguments, _cmd_validate),
+    "eval": ("evaluate the probability of an event", _eval_arguments, _cmd_eval),
+    "check": ("run the identity suite on a space file", _check_arguments, _cmd_check),
+    "enumerate": ("list every measurable event in canonical order", _enumerate_arguments, _cmd_enumerate),
+    "calc": ("pure event algebra, no space file needed", _calc_arguments, _cmd_calc),
+    "fuzz": ("validate seeded random spaces", _fuzz_arguments, _cmd_fuzz),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="epspace",
+        description="Signed sample spaces with annihilation and exact extended probabilities.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        add_arguments(command)
+        command.set_defaults(func=handler)
+    return parser
+
+
+def _parse_arguments(argv):
+    """The namespace ``build_parser().parse_args(argv)`` gives, building only
+    the named command's parser when ``argv`` starts with one.
+
+    That parser is the one ``add_parser`` makes (same prog, usage, help and
+    errors).  Arguments it leaves over, and any argv that does not start with
+    a command, go to the full parser, whose usage and errors they report.
+    """
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        _, add_arguments, handler = _COMMANDS[name]
+        parser = argparse.ArgumentParser(prog=f"epspace {name}")
+        add_arguments(parser)
+        parser.set_defaults(command=name, func=handler)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def run_cli(argv=None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _parse_arguments(argv)
     except SystemExit as exc:
         code = exc.code
         if code is None:

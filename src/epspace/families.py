@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import combinations
 
 from .errors import SchemaError
@@ -41,7 +40,6 @@ from .events import (
     LABEL_PATTERN,
     LabelMask,
     canonical_key,
-    plain_union,
 )
 
 __all__ = [
@@ -230,8 +228,9 @@ def is_set_algebra(family: Family) -> tuple[bool, Event | None]:
     """Ring-with-unit check; returns ``(ok, unit)``.
 
     The only possible unit is the union of all members (a unit must contain
-    every member and itself be a member), so that candidate is computed and
-    then verified explicitly.  The verdict is kept on the family instance,
+    every member and itself be a member).  A nonempty ring holds it, as the
+    union of its atoms, so once :func:`is_set_ring` passes the unit is the
+    ring's largest member.  The verdict is kept on the family instance,
     outside the dataclass fields, so equality and hash never see it and a
     second call proves nothing again.
     """
@@ -247,17 +246,8 @@ def is_set_algebra(family: Family) -> tuple[bool, Event | None]:
 def _algebra_verdict(family: Family) -> tuple[bool, Event | None]:
     if not is_set_ring(family) or not family.events:
         return (False, None)
-    candidate = reduce(
-        lambda acc, e: None if acc is None else plain_union(acc, e),
-        family.events,
-        Event(),
-    )
-    if candidate is None or candidate not in family.events:
-        return (False, None)
-    for member in family.events:
-        if (member & candidate) != member:
-            return (False, None)
-    return (True, candidate)
+    # A proved ring holds the union of its atoms, its unique largest member.
+    return (True, max(family.events, key=len))
 
 
 def is_set_field(family: Family, universe: Event) -> bool:

@@ -18,9 +18,11 @@ text, so ``0.1`` means exactly 1/10).  Every literal goes through
 is the generated set field over ``omega_plus``.
 
 Spaces parsed or generated here are capped at :data:`MAX_ATOMS` atoms; the
-measurable family has ``3**n`` members for the powerset algebra and is
-materialized in full, so enumeration past eight atoms is not useful and the
-sampled validator mode is the documented route for anything bigger.
+measurable family has ``3**n`` members for the powerset algebra, and
+validation, enumeration and the full suite build it in full (evaluating an
+event or the classical restriction builds none of it), so enumeration past
+eight atoms is not useful and the sampled validator mode is the documented
+route for anything bigger.
 """
 
 from __future__ import annotations

@@ -56,6 +56,22 @@ def sub_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def eight_file(tmp_path):
+    """An 8-atom powerset: 6,561 measurable events."""
+    labels = [f"atom{i}" for i in range(8)]
+    path = tmp_path / "eight.json"
+    path.write_text(
+        json.dumps({
+            "omega_plus": labels,
+            "weights": {label: "1/8" for label in labels},
+            "algebra": "powerset",
+        }),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
 def run(capsys, *argv):
     code = run_cli(list(argv))
     captured = capsys.readouterr()
@@ -265,25 +281,23 @@ def test_enumerate_negative_limit_exits_two(capsys, space_file):
     assert "non-negative" in err
 
 
-def test_enumerate_into_a_closed_pipe_exits_quietly(tmp_path):
+def test_enumerate_negative_limit_composes_nothing(capsys, eight_file, monkeypatch):
+    composed = []
+    monkeypatch.setattr("epspace.measure.compose_family", lambda *a, **k: composed.append(a))
+    code, out, err = run(capsys, "enumerate", eight_file, "--limit", "-1")
+    assert (code, out, err) == (2, "", "epspace: --limit must be non-negative\n")
+    assert composed == []
+
+
+def test_enumerate_into_a_closed_pipe_exits_quietly(tmp_path, eight_file):
     # 6,561 events overflow a 64 KiB pipe buffer, so the writer still has
     # output when the reader closes the pipe after one line.
-    labels = [f"atom{i}" for i in range(8)]
-    path = tmp_path / "eight.json"
-    path.write_text(
-        json.dumps({
-            "omega_plus": labels,
-            "weights": {label: "1/8" for label in labels},
-            "algebra": "powerset",
-        }),
-        encoding="utf-8",
-    )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     err = tmp_path / "stderr"
     with err.open("wb") as sink:
         proc = subprocess.Popen(
-            [sys.executable, "-m", "epspace.cli", "enumerate", str(path)],
+            [sys.executable, "-m", "epspace.cli", "enumerate", eight_file],
             stdout=subprocess.PIPE,
             stderr=sink,
             env=env,

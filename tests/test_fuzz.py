@@ -2,7 +2,9 @@
 
 Whatever the input, ``parse_document`` either returns a document or raises
 an :class:`EpspaceError`, and ``run_cli`` returns 0, 1 or 2 without letting
-an exception out: no input reaches a Python traceback.  Valid spaces
+an exception out: no input reaches a Python traceback.  On any token list
+``run_cli``, which builds only the named command's parser, prints and exits
+exactly as a dispatch through the full ``build_parser()``.  Valid spaces
 survive a ``serialize_space`` -> ``parse_space`` round trip, and sampled
 validation of a valid document passes.
 """
@@ -11,9 +13,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from unittest import mock
 
 import hypothesis.strategies as st
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from epspace import (
     EpspaceError,
@@ -25,6 +28,7 @@ from epspace import (
     parse_space,
     serialize_space,
 )
+from epspace import cli
 from epspace.cli import run_cli
 
 FUZZ = settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -122,14 +126,48 @@ tokens = st.sampled_from((
     "-2", "x", "--help",
 ))
 
+TWO_ATOMS = '{"omega_plus": ["a", "b"], "weights": {"a": "1/2", "b": "1/2"}, "algebra": "powerset"}'
+
 
 @FUZZ
 @given(st.lists(tokens, max_size=7))
 def test_cli_on_any_arguments_exits_cleanly(capsys, tmp_path, argv):
     path = tmp_path / "space.json"
-    path.write_text('{"omega_plus": ["a", "b"], "weights": {"a": "1/2", "b": "1/2"}, '
-                    '"algebra": "powerset"}', encoding="utf-8")
+    path.write_text(TWO_ATOMS, encoding="utf-8")
     run(capsys, [str(path) if token == "FILE" else token for token in argv])
+
+
+def full_parser_cli(argv):
+    """``run_cli`` dispatching through ``build_parser().parse_args(argv)``:
+    the reference for the one-command parser."""
+    with mock.patch.object(cli, "_parse_arguments", lambda argv: cli.build_parser().parse_args(argv)):
+        return run_cli(argv)
+
+
+@st.composite
+def command_lines(draw):
+    """Token lists, led by a command and ``FILE`` when a drawn digit is below 7."""
+    argv = draw(st.lists(tokens, max_size=7))
+    if draw(st.integers(0, 9)) < 7:
+        argv = [draw(st.sampled_from(sorted(cli._COMMANDS))), "FILE", *argv]
+    return argv
+
+
+@FUZZ
+@given(command_lines())
+@example(["validate", "FILE", "--bogus"])
+@example(["--", "validate", "FILE"])
+@example(["validate", "--help"])
+@example(["--help"])
+@example([])
+@example(["frobnicate"])
+@example(["validate", "FILE", "--json=3"])
+def test_cli_parses_as_the_full_parser(capsys, tmp_path, argv):
+    path = tmp_path / "space.json"
+    path.write_text(TWO_ATOMS, encoding="utf-8")
+    argv = [str(path) if token == "FILE" else token for token in argv]
+    got = (run_cli(argv), *capsys.readouterr())
+    assert got == (full_parser_cli(argv), *capsys.readouterr()), argv
 
 
 @settings(max_examples=80)

@@ -22,6 +22,7 @@ from epspace import (
     FuzzConfig,
     check_kolmogorov_restriction,
     generate_algebra,
+    is_set_algebra,
     is_set_field,
     is_set_ring,
     make_space,
@@ -85,6 +86,17 @@ def reference_is_set_ring(family: Family) -> bool:
             if delta is None or delta not in members:
                 return False
     return True
+
+
+def reference_is_set_algebra(family: Family):
+    """``(ok, unit)`` by brute force: a ring with a member ``E`` that keeps
+    every member under ``& E``; two such members are equal."""
+    if not reference_is_set_ring(family):
+        return (False, None)
+    for unit in family.events:
+        if all(a & unit == a for a in family.events):
+            return (True, unit)
+    return (False, None)
 
 
 def reference_l4(space, pmap):
@@ -389,9 +401,13 @@ def test_is_set_ring_matches_reference_on_every_three_label_family():
     for r in range(len(pool) + 1):
         for chosen in combinations(pool, r):
             family = Family(frozenset(chosen))
-            assert is_set_ring(family) == reference_is_set_ring(family)
             mirrored = mirror_family(family)
-            assert is_set_ring(mirrored) == reference_is_set_ring(mirrored)
+            for candidate in (family, mirrored):
+                assert is_set_ring(candidate) == reference_is_set_ring(candidate)
+                ok, unit = is_set_algebra(candidate)
+                expected_ok, expected_unit = reference_is_set_algebra(candidate)
+                assert (ok, unit) == (expected_ok, expected_unit), candidate
+                assert unit is None or unit.text() == expected_unit.text()
 
 
 def near_rings(labels, generators):
